@@ -5,7 +5,7 @@
 //   * "kernels"  — GFLOP/s and ns/call for each hot kernel at ranking
 //                  sizes, plus its speedup over the naive sequential
 //                  reference in simd::ref (the pre-SIMD implementation).
-//   * "ranking"  — full-vocabulary ScoreAllTails throughput on a ComplEx
+//   * "ranking"  — full-vocabulary ScoreAll throughput on a ComplEx
 //                  model at the paper's dim budget: ns per ranked triple,
 //                  triples/sec, candidate scores/sec, speedup over the
 //                  scalar-reference ranking loop, and the measured heap
@@ -108,7 +108,7 @@ volatile double g_sink = 0.0;
 struct PerfConfig {
   int64_t entities = 40000;    // full-vocab ranking table size
   int64_t dim_budget = 256;    // total floats per entity (ComplEx: 2x128)
-  int64_t queries = 400;       // ScoreAllTails calls to time
+  int64_t queries = 400;       // ScoreAll calls to time
   int64_t kernel_n = 256;      // vector length for kernel microbenches
   int64_t kernel_iters = 200000;
   int64_t eval_entities = 3000;  // WN18-like KG size for end-to-end eval
@@ -160,7 +160,8 @@ std::vector<float> RandomVector(Rng* rng, size_t n) {
   return v;
 }
 
-// Median-of-three timing of `iters` calls to fn, seconds per call.
+// Best-of-three timing of `iters` calls to fn: the fastest of three
+// repetitions, in seconds per call.
 template <typename Fn>
 double SecondsPerCall(int64_t iters, const Fn& fn) {
   double best = 0.0;
@@ -258,7 +259,7 @@ std::vector<KernelRow> BenchKernels(const PerfConfig& config) {
                                  multi_out.data());
       }));
   // Id-indirected batch kernel: a shuffled candidate set scored straight
-  // out of the row table (the gather-free ScoreTailBatch path).
+  // out of the row table (the gather-free tail-side ScoreBatch path).
   std::vector<int32_t> ids(batch_rows);
   for (size_t i = 0; i < batch_rows; ++i) {
     ids[i] = int32_t(rng.NextBounded(uint64_t(batch_rows)));
@@ -293,10 +294,10 @@ std::vector<KernelRow> BenchKernels(const PerfConfig& config) {
   return kernels;
 }
 
-// The pre-SIMD ScoreAllTails: per-call fold allocation, naive sequential
+// The pre-SIMD tail-side ScoreAll: per-call fold allocation, naive sequential
 // fold and per-candidate dot. This is the "scalar baseline" the ranking
 // speedup is measured against.
-void NaiveScoreAllTails(const MultiEmbeddingModel& model, EntityId head,
+void NaiveScoreTails(const MultiEmbeddingModel& model, EntityId head,
                         RelationId relation, std::span<float> out) {
   const WeightTable& weights = model.weights();
   const size_t d = size_t(model.dim());
@@ -342,10 +343,10 @@ RankingResult BenchRanking(const PerfConfig& config) {
   };
   const auto simd_score = [&](EntityId h, RelationId r,
                               std::span<float> out) {
-    model->ScoreAllTails(h, r, out);
+    model->ScoreAll(QuerySide::kTail, h, r, out);
   };
   const auto ref_score = [&](EntityId h, RelationId r, std::span<float> out) {
-    NaiveScoreAllTails(*model, h, r, out);
+    NaiveScoreTails(*model, h, r, out);
   };
 
   // Warm up: populates the thread_local fold scratch so the timed (and
@@ -432,8 +433,8 @@ EvalThroughput BenchEndToEnd(const PerfConfig& config) {
 // ---- Eval batching ---------------------------------------------------------
 // Full-vocabulary ranking throughput as a function of the query batch
 // size B: the same Q queries are folded and ranked either one at a time
-// (B = 1, the per-query ScoreAllTails GEMV path) or B at a time through
-// ScoreAllTailsBatch's cache-blocked multi-query kernel. Scores are
+// (B = 1, the per-query ScoreAll GEMV path) or B at a time through
+// ScoreAllBatch's cache-blocked multi-query kernel. Scores are
 // bit-identical at every B, so the rows measure pure memory scheduling:
 // each entity-table tile is streamed once per batch instead of once per
 // query.
@@ -510,11 +511,13 @@ EvalBatchReport BenchEvalBatching(const PerfConfig& config) {
         const std::span<float> block(scores.data(),
                                      count * size_t(num_entities));
         if (batch == 1) {
-          model->ScoreAllTails(heads[size_t(q0)], relation, block);
+          model->ScoreAll(QuerySide::kTail, heads[size_t(q0)], relation,
+                          block);
         } else {
-          model->ScoreAllTailsBatch(
+          model->ScoreAllBatch(
+              QuerySide::kTail,
               std::span<const EntityId>(heads.data() + q0, count), relation,
-              block);
+              block, ScorePrecision::kDouble);
         }
         for (size_t i = 0; i < count; ++i) {
           rank_sink = rank_sink +
@@ -670,7 +673,8 @@ PrecisionReport BenchPrecisionTiers(const PerfConfig& config) {
             size_t(std::min<int64_t>(batch, num_queries - q0));
         const std::span<float> block(scores.data(),
                                      count * size_t(num_entities));
-        model->ScoreAllTailsBatch(
+        model->ScoreAllBatch(
+            QuerySide::kTail,
             std::span<const EntityId>(heads.data() + q0, count), relation,
             block, precision);
         for (size_t i = 0; i < count; ++i) {
@@ -778,10 +782,10 @@ PrecisionReport BenchPrecisionTiers(const PerfConfig& config) {
 // Pruning is exact — every pruned row carries a bit_identical canary
 // against the exhaustive result — so the rows measure how many
 // candidate tiles the Cauchy–Schwarz bounds prove irrelevant and what
-// that saves in table bandwidth. The rank path (CountTailsAbove, the
-// evaluator's primitive) and the top-k path (TopKTailsInRange, the
-// serving reduction) are timed separately; the top-k path adds a
-// sharded row to pin the shard-count invariance at scale.
+// that saves in table bandwidth. The rank path (CountAbove, the
+// evaluator's primitive) and the top-k path (TopKInRange, and
+// ShardedTopK — the serving reduction) are timed separately; the top-k
+// path's sharded row pins the shard-count invariance at scale.
 
 // A trained-like model for the scale tiers without paying a 1M-entity
 // training run: Xavier init, then entity norms rescaled to decay with
@@ -862,9 +866,11 @@ ScaleTierRow BenchScaleTier(const PerfConfig& config, int64_t entities,
     const EntityId head = EntityId(rng.NextBounded(uint64_t(n)));
     const RelationId rel = RelationId(rng.NextBounded(8));
     EntityId best = 0;
-    float best_score = model->ScoreOneTail(head, 0, rel, precision);
+    float best_score =
+        model->ScoreOne(QuerySide::kTail, {head, 0, rel}, precision);
     for (int32_t t = 1; t < sample; ++t) {
-      const float s = model->ScoreOneTail(head, t, rel, precision);
+      const float s =
+          model->ScoreOne(QuerySide::kTail, {head, t, rel}, precision);
       if (s > best_score) {
         best_score = s;
         best = t;
@@ -883,7 +889,7 @@ ScaleTierRow BenchScaleTier(const PerfConfig& config, int64_t entities,
   const double table_bytes_per_query =
       double(entities) * double(dim) * sizeof(float);
 
-  // ---- Rank path: CountTailsAbove, exhaustive vs pruned ----
+  // ---- Rank path: CountAbove, exhaustive vs pruned ----
   // One flat buffer for all four count arrays (GCC 12's
   // -Wmismatched-new-delete false-fires on the malloc-backed
   // replacement operator new when a vector's full lifetime is inlined
@@ -902,10 +908,10 @@ ScaleTierRow BenchScaleTier(const PerfConfig& config, int64_t entities,
     for (int64_t q = 0; q < num_queries; ++q) {
       better[size_t(q)] = 0;
       equal[size_t(q)] = 0;
-      model->CountTailsAbove(heads[size_t(q)], rels[size_t(q)],
-                             thresholds[size_t(q)], 0, EntityId(n),
-                             no_excluded, truths[size_t(q)], precision, prune,
-                             &better[size_t(q)], &equal[size_t(q)], stats);
+      model->CountAbove(QuerySide::kTail, heads[size_t(q)], rels[size_t(q)],
+                        thresholds[size_t(q)], 0, EntityId(n), no_excluded,
+                        truths[size_t(q)], precision, prune,
+                        &better[size_t(q)], &equal[size_t(q)], stats);
     }
   };
   RankScanStats warm_stats;
@@ -954,56 +960,31 @@ ScaleTierRow BenchScaleTier(const PerfConfig& config, int64_t entities,
     }
   }
 
-  // ---- Top-k path: TopKTailsInRange, exhaustive vs pruned vs sharded ----
+  // ---- Top-k path: TopKInRange exhaustive vs pruned, and ShardedTopK ----
   TopKHeap<float, EntityId> ex_heap;
   TopKHeap<float, EntityId> pr_heap;
   TopKHeap<float, EntityId> merged;
-  TopKHeap<float, EntityId> prime_heap;
   std::vector<TopKHeap<float, EntityId>> shard_heaps(
       static_cast<size_t>(shards));
+  std::vector<RankScanStats> shard_stats(static_cast<size_t>(shards));
   ex_heap.Reserve(int(k));
   pr_heap.Reserve(int(k));
   merged.Reserve(int(k));
-  prime_heap.Reserve(int(k));
   for (auto& heap : shard_heaps) heap.Reserve(int(k));
 
   const auto topk_pass = [&](bool prune, TopKHeap<float, EntityId>* heap,
                              int64_t q, RankScanStats* stats) {
     heap->ResetCapacity(int(k));
-    model->TopKTailsInRange(heads[size_t(q)], rels[size_t(q)], 0,
-                            EntityId(n), no_excluded, precision, prune, heap,
-                            stats);
+    model->TopKInRange(QuerySide::kTail, heads[size_t(q)], rels[size_t(q)],
+                       0, EntityId(n), no_excluded, precision, prune, heap,
+                       stats);
   };
-  // The sharded pass mirrors the serving reduction: per-shard heaps can
-  // only prune against their own minima, so prime a shared floor from
-  // an exhaustive scan of the first k candidates before fanning out.
-  const auto sharded_pass = [&](int64_t q, RankScanStats* stats) {
-    float floor = 0.0f;
-    bool have_floor = false;
-    const int64_t prime_end = std::min<int64_t>(
-        int64_t(n),
-        std::max<int64_t>(int64_t(k), int64_t(KgeModel::kPrunePrimePrefix)));
-    if (prime_end < int64_t(n)) {
-      prime_heap.ResetCapacity(int(k));
-      model->TopKTailsInRange(heads[size_t(q)], rels[size_t(q)], 0,
-                              EntityId(prime_end), no_excluded, precision,
-                              false, &prime_heap, stats);
-      if (prime_heap.full()) {
-        floor = prime_heap.WorstScore();
-        have_floor = true;
-      }
-    }
-    merged.ResetCapacity(int(k));
-    for (int s = 0; s < shards; ++s) {
-      shard_heaps[size_t(s)].ResetCapacity(int(k));
-      if (have_floor) shard_heaps[size_t(s)].SetPruneFloor(floor);
-      model->TopKTailsInRange(heads[size_t(q)], rels[size_t(q)],
-                              ShardBegin(EntityId(n), shards, s),
-                              ShardBegin(EntityId(n), shards, s + 1),
-                              no_excluded, precision, true,
-                              &shard_heaps[size_t(s)], stats);
-      merged.MergeFrom(shard_heaps[size_t(s)]);
-    }
+  // The sharded pass is the serving reduction itself: ShardedTopK with a
+  // primed prune floor, shards scanned on the calling thread.
+  const auto sharded_pass = [&](int64_t q) {
+    ShardedTopK(*model, QuerySide::kTail, heads[size_t(q)], rels[size_t(q)],
+                no_excluded, precision, /*prune=*/true, int(k), shard_heaps,
+                shard_stats, /*pool=*/nullptr, &merged);
   };
   const auto same_entries = [](std::span<const TopKHeap<float, EntityId>::Entry>
                                    a,
@@ -1023,7 +1004,7 @@ ScaleTierRow BenchScaleTier(const PerfConfig& config, int64_t entities,
   for (int64_t q = 0; q < num_queries; ++q) {
     topk_pass(false, &ex_heap, q, &topk_stats);
     topk_pass(true, &pr_heap, q, &topk_stats);
-    sharded_pass(q, &topk_stats);
+    sharded_pass(q);
     if (!same_entries(ex_heap.TakeSorted(), pr_heap.TakeSorted()) ||
         !same_entries(ex_heap.TakeSorted(), merged.TakeSorted())) {
       tier.topk.bit_identical = false;
@@ -1054,10 +1035,7 @@ ScaleTierRow BenchScaleTier(const PerfConfig& config, int64_t entities,
 #endif
 
   sw.Restart();
-  for (int64_t q = 0; q < num_queries; ++q) {
-    RankScanStats shard_stats;
-    sharded_pass(q, &shard_stats);
-  }
+  for (int64_t q = 0; q < num_queries; ++q) sharded_pass(q);
   const double topk_sh_seconds = sw.ElapsedSeconds();
 
   tier.topk.exhaustive_ns_per_query =
@@ -2014,7 +1992,7 @@ int Run(int argc, char** argv) {
                 "entity-table rows for full-vocab ranking");
   parser.AddInt("dim_budget", &config.dim_budget,
                 "total floats per entity (ComplEx uses 2 vectors)");
-  parser.AddInt("queries", &config.queries, "ScoreAllTails calls to time");
+  parser.AddInt("queries", &config.queries, "ScoreAll calls to time");
   parser.AddInt("kernel_n", &config.kernel_n,
                 "vector length for kernel microbenches");
   parser.AddInt("kernel_iters", &config.kernel_iters,

@@ -132,7 +132,7 @@ int Run(int argc, char** argv) {
   // Show recommendations for one user.
   const EntityId user = rec.data.entities.Find("user_0000");
   std::vector<float> scores(size_t(rec.data.num_entities()));
-  model->ScoreAllTails(user, rec.like, scores);
+  model->ScoreAll(QuerySide::kTail, user, rec.like, scores);
   // Exclude non-items and already-liked items.
   std::vector<std::pair<float, EntityId>> ranked;
   const auto known = filter.KnownTails(user, rec.like);

@@ -35,6 +35,15 @@ double RankAmong(std::span<const float> scores, float true_score,
   return 1.0 + double(better) + double(equal) / 2.0;
 }
 
+// The filtered-protocol corruptions of `triple`'s `side` query that are
+// themselves known triples (sorted ascending).
+std::span<const EntityId> KnownFor(const FilterIndex& filter, QuerySide side,
+                                   const Triple& triple) {
+  return side == QuerySide::kTail
+             ? filter.KnownTails(triple.head, triple.relation)
+             : filter.KnownHeads(triple.tail, triple.relation);
+}
+
 }  // namespace
 
 Evaluator::Evaluator(const FilterIndex* filter, int32_t num_relations)
@@ -42,53 +51,23 @@ Evaluator::Evaluator(const FilterIndex* filter, int32_t num_relations)
   KGE_CHECK(filter_ != nullptr);
 }
 
-double Evaluator::RankTail(const Triple& triple,
-                           std::span<const float> scores,
-                           bool filtered) const {
-  const std::span<const EntityId> known =
-      filtered ? filter_->KnownTails(triple.head, triple.relation)
-               : std::span<const EntityId>();
-  return RankAmong(scores, scores[size_t(triple.tail)], triple.tail, known);
+double Evaluator::Rank(QuerySide side, const Triple& triple,
+                       std::span<const float> scores, bool filtered) const {
+  const EntityId truth = AnswerOf(side, triple);
+  return RankAmong(scores, scores[size_t(truth)], truth,
+                   filtered ? KnownFor(*filter_, side, triple)
+                            : std::span<const EntityId>());
 }
 
-double Evaluator::RankHead(const Triple& triple,
-                           std::span<const float> scores,
-                           bool filtered) const {
-  const std::span<const EntityId> known =
-      filtered ? filter_->KnownHeads(triple.tail, triple.relation)
-               : std::span<const EntityId>();
-  return RankAmong(scores, scores[size_t(triple.head)], triple.head, known);
-}
-
-namespace {
-
-// Candidates = all entities minus filtered corruptions; the true entity
-// always ranks (whether or not it is in the filtered set).
-size_t CountCandidates(int32_t num_entities,
-                       std::span<const EntityId> known, EntityId truth) {
+size_t Evaluator::CountCandidates(QuerySide side, const Triple& triple,
+                                  int32_t num_entities, bool filtered) const {
+  if (!filtered) return size_t(num_entities);
+  // Candidates = all entities minus filtered corruptions; the true
+  // entity always ranks (whether or not it is in the filtered set).
+  const std::span<const EntityId> known = KnownFor(*filter_, side, triple);
   const bool truth_known =
-      std::binary_search(known.begin(), known.end(), truth);
+      std::binary_search(known.begin(), known.end(), AnswerOf(side, triple));
   return size_t(num_entities) - known.size() + (truth_known ? 1 : 0);
-}
-
-}  // namespace
-
-size_t Evaluator::CountTailCandidates(const Triple& triple,
-                                      int32_t num_entities,
-                                      bool filtered) const {
-  if (!filtered) return size_t(num_entities);
-  return CountCandidates(num_entities,
-                         filter_->KnownTails(triple.head, triple.relation),
-                         triple.tail);
-}
-
-size_t Evaluator::CountHeadCandidates(const Triple& triple,
-                                      int32_t num_entities,
-                                      bool filtered) const {
-  if (!filtered) return size_t(num_entities);
-  return CountCandidates(num_entities,
-                         filter_->KnownHeads(triple.tail, triple.relation),
-                         triple.head);
 }
 
 int ResolveEvalBatchQueries(int requested, int32_t num_entities,
@@ -137,8 +116,10 @@ struct QueryBatch {
   uint32_t begin = 0;
   uint32_t count = 0;
   RelationId relation = 0;
-  bool head_side = false;  // false: rank tails, true: rank heads
+  QuerySide side = QuerySide::kTail;
 };
+
+constexpr QuerySide kSides[] = {QuerySide::kTail, QuerySide::kHead};
 
 }  // namespace
 
@@ -164,20 +145,22 @@ EvalResult Evaluator::Evaluate(const KgeModel& model,
   }
 
   // Ranks are pure per-triple functions of the scores, so they are
-  // computed in parallel into per-triple slots and the metrics are
-  // accumulated SERIALLY in the original triple order afterwards. That
-  // makes the result exactly invariant to both the thread count and the
-  // batching schedule (and equal to the pre-batching single-thread
-  // accumulation order).
+  // computed in parallel into per-(side, triple) slots — indexed by
+  // int(QuerySide) — and the metrics are accumulated SERIALLY in the
+  // original triple order afterwards. That makes the result exactly
+  // invariant to the thread count, the batching schedule and the shard
+  // count (and equal to the single-thread per-triple accumulation
+  // order).
   const size_t num_triples = eval_triples->size();
   const int32_t num_entities = model.num_entities();
-  std::vector<double> tail_ranks(num_triples), head_ranks(num_triples);
-  std::vector<size_t> tail_cands(num_triples), head_cands(num_triples);
+  std::vector<double> ranks[2] = {std::vector<double>(num_triples),
+                                  std::vector<double>(num_triples)};
+  std::vector<size_t> cands[2] = {std::vector<size_t>(num_triples),
+                                  std::vector<size_t>(num_triples)};
 
   const ScorePrecision precision = options.score_precision;
   KGE_CHECK(model.SupportsScorePrecision(precision));
   const int num_shards = std::max(options.num_shards, 1);
-  const bool range_scan = options.prune || num_shards > 1;
   // Refresh any scoring replica the tier needs ONCE, before the fanout:
   // the rebuild mutates the replica, the scoring reads below do not.
   // The pruned path additionally refreshes the per-tile score bounds.
@@ -186,109 +169,64 @@ EvalResult Evaluator::Evaluate(const KgeModel& model,
   } else {
     model.PrepareForScoring(precision);
   }
-  const int batch_queries =
-      ResolveEvalBatchQueries(options.batch_queries, num_entities, precision);
   ThreadPool pool(size_t(std::max(1, options.num_threads)));
 
-  if (range_scan) {
+  if (options.prune || num_shards > 1) {
     // Sharded / pruned ranking (DESIGN.md §5h): instead of materializing
     // B × num_entities score matrices, each (triple, side, shard) task
     // counts candidates above the true score inside its entity range
-    // with CountTailsAbove/CountHeadsAbove. Counts are additive over the
-    // shard partition and the scores are the exact kernel values the
-    // matrix paths produce, so the serial reduction below yields
-    // bit-identical ranks for every shard count, thread count, and prune
-    // setting. Each task re-derives the true score via ScoreOneTail/
-    // ScoreOneHead — deterministic and race-free, so no cross-task
-    // ordering matters.
-    const size_t tasks_per_triple = 2 * size_t(num_shards);
-    const size_t num_tasks = num_triples * tasks_per_triple;
+    // with CountAbove. Counts are additive over the shard partition and
+    // the scores are the exact kernel values the matrix path produces, so
+    // the serial reduction below yields bit-identical ranks for every
+    // shard count, thread count, and prune setting. Each task re-derives
+    // the true score via ScoreOne — deterministic and race-free, so no
+    // cross-task ordering matters. Task index:
+    // (triple * 2 + int(side)) * num_shards + shard.
+    const size_t shards = size_t(num_shards);
+    const size_t num_tasks = num_triples * 2 * shards;
     std::vector<uint64_t> better(num_tasks, 0), equal(num_tasks, 0);
     std::vector<RankScanStats> task_stats(num_tasks);
     pool.ParallelFor(0, num_tasks, [&](size_t begin, size_t end) {
       for (size_t task = begin; task < end; ++task) {
-        const size_t i = task / tasks_per_triple;
-        const size_t rem = task % tasks_per_triple;
-        const bool head_side = rem >= size_t(num_shards);
-        const int s = int(rem % size_t(num_shards));
-        const Triple& triple = (*eval_triples)[i];
-        const EntityId shard_begin = ShardBegin(num_entities, num_shards, s);
-        const EntityId shard_end =
-            ShardBegin(num_entities, num_shards, s + 1);
-        if (head_side) {
-          const std::span<const EntityId> known =
-              options.filtered
-                  ? filter_->KnownHeads(triple.tail, triple.relation)
-                  : std::span<const EntityId>();
-          const float truth = model.ScoreOneHead(
-              triple.head, triple.tail, triple.relation, precision);
-          model.CountHeadsAbove(triple.tail, triple.relation, truth,
-                                shard_begin, shard_end, known, triple.head,
-                                precision, options.prune, &better[task],
-                                &equal[task], &task_stats[task]);
-        } else {
-          const std::span<const EntityId> known =
-              options.filtered
-                  ? filter_->KnownTails(triple.head, triple.relation)
-                  : std::span<const EntityId>();
-          const float truth = model.ScoreOneTail(
-              triple.head, triple.tail, triple.relation, precision);
-          model.CountTailsAbove(triple.head, triple.relation, truth,
-                                shard_begin, shard_end, known, triple.tail,
-                                precision, options.prune, &better[task],
-                                &equal[task], &task_stats[task]);
-        }
+        const Triple& triple = (*eval_triples)[task / (2 * shards)];
+        const QuerySide side = kSides[(task / shards) % 2];
+        const int s = int(task % shards);
+        model.CountAbove(side, AnchorOf(side, triple), triple.relation,
+                         model.ScoreOne(side, triple, precision),
+                         ShardBegin(num_entities, num_shards, s),
+                         ShardBegin(num_entities, num_shards, s + 1),
+                         options.filtered ? KnownFor(*filter_, side, triple)
+                                          : std::span<const EntityId>(),
+                         AnswerOf(side, triple), precision, options.prune,
+                         &better[task], &equal[task], &task_stats[task]);
       }
     });
     for (size_t i = 0; i < num_triples; ++i) {
-      const Triple& triple = (*eval_triples)[i];
-      uint64_t tail_better = 0, tail_equal = 0;
-      uint64_t head_better = 0, head_equal = 0;
-      for (size_t s = 0; s < size_t(num_shards); ++s) {
-        const size_t tail_task = i * tasks_per_triple + s;
-        const size_t head_task = tail_task + size_t(num_shards);
-        tail_better += better[tail_task];
-        tail_equal += equal[tail_task];
-        head_better += better[head_task];
-        head_equal += equal[head_task];
+      for (const QuerySide side : kSides) {
+        uint64_t side_better = 0, side_equal = 0;
+        const size_t first = (i * 2 + size_t(side)) * shards;
+        for (size_t task = first; task < first + shards; ++task) {
+          side_better += better[task];
+          side_equal += equal[task];
+        }
+        ranks[size_t(side)][i] =
+            1.0 + double(side_better) + double(side_equal) / 2.0;
+        cands[size_t(side)][i] = CountCandidates(
+            side, (*eval_triples)[i], num_entities, options.filtered);
       }
-      tail_ranks[i] = 1.0 + double(tail_better) + double(tail_equal) / 2.0;
-      head_ranks[i] = 1.0 + double(head_better) + double(head_equal) / 2.0;
-      tail_cands[i] =
-          CountTailCandidates(triple, num_entities, options.filtered);
-      head_cands[i] =
-          CountHeadCandidates(triple, num_entities, options.filtered);
     }
     for (const RankScanStats& stats : task_stats) {
       result.scan_stats.tiles_total += stats.tiles_total;
       result.scan_stats.tiles_skipped += stats.tiles_skipped;
     }
-  } else if (batch_queries <= 1 && precision == ScorePrecision::kDouble) {
-    // Reduced-precision tiers only exist on the batched interface, so
-    // they take the batched path even at B = 1.
-    // Legacy per-query GEMV path: one ScoreAllTails/Heads per triple.
-    pool.ParallelFor(0, num_triples, [&](size_t begin, size_t end) {
-      static thread_local std::vector<float> score_buf;
-      const std::span<float> scores =
-          ScratchSpan(score_buf, size_t(num_entities));
-      for (size_t i = begin; i < end; ++i) {
-        const Triple& triple = (*eval_triples)[i];
-        model.ScoreAllTails(triple.head, triple.relation, scores);
-        tail_ranks[i] = RankTail(triple, scores, options.filtered);
-        tail_cands[i] =
-            CountTailCandidates(triple, num_entities, options.filtered);
-        model.ScoreAllHeads(triple.tail, triple.relation, scores);
-        head_ranks[i] = RankHead(triple, scores, options.filtered);
-        head_cands[i] =
-            CountHeadCandidates(triple, num_entities, options.filtered);
-      }
-    });
   } else {
     // Batched GEMM path. Counting-sort the triple indices by relation
     // (stable, deterministic), then cover each relation segment with
     // tail-side and head-side batches of at most batch_queries queries:
     // every batch folds once per query and streams each entity-table
     // tile once per batch instead of once per query.
+    const int batch_queries =
+        ResolveEvalBatchQueries(options.batch_queries, num_entities, precision);
     std::vector<uint32_t> order(num_triples);
     std::vector<size_t> relation_counts(size_t(num_relations_) + 1, 0);
     for (const Triple& t : *eval_triples) {
@@ -309,14 +247,14 @@ EvalResult Evaluator::Evaluate(const KgeModel& model,
     for (int32_t r = 0; r < num_relations_; ++r) {
       const size_t seg_begin = relation_counts[size_t(r)];
       const size_t seg_end = relation_counts[size_t(r) + 1];
-      for (int side = 0; side < 2; ++side) {
+      for (const QuerySide side : kSides) {
         for (size_t b = seg_begin; b < seg_end; b += size_t(batch_queries)) {
           QueryBatch batch;
           batch.begin = uint32_t(b);
           batch.count = uint32_t(
               std::min(size_t(batch_queries), seg_end - b));
           batch.relation = r;
-          batch.head_side = side == 1;
+          batch.side = side;
           batches.push_back(batch);
         }
       }
@@ -330,33 +268,23 @@ EvalResult Evaluator::Evaluate(const KgeModel& model,
         const std::span<EntityId> queries =
             ScratchSpan(query_buf, size_t(batch.count));
         for (uint32_t q = 0; q < batch.count; ++q) {
-          const Triple& triple = (*eval_triples)[order[batch.begin + q]];
-          queries[q] = batch.head_side ? triple.tail : triple.head;
+          queries[q] =
+              AnchorOf(batch.side, (*eval_triples)[order[batch.begin + q]]);
         }
         const std::span<float> scores = ScratchSpan(
             score_buf, size_t(batch.count) * size_t(num_entities));
-        if (batch.head_side) {
-          model.ScoreAllHeadsBatch(queries, batch.relation, scores,
-                                   precision);
-        } else {
-          model.ScoreAllTailsBatch(queries, batch.relation, scores,
-                                   precision);
-        }
+        model.ScoreAllBatch(batch.side, queries, batch.relation, scores,
+                            precision);
         for (uint32_t q = 0; q < batch.count; ++q) {
           const size_t i = order[batch.begin + q];
           const Triple& triple = (*eval_triples)[i];
           const std::span<const float> row =
               scores.subspan(size_t(q) * size_t(num_entities),
                              size_t(num_entities));
-          if (batch.head_side) {
-            head_ranks[i] = RankHead(triple, row, options.filtered);
-            head_cands[i] =
-                CountHeadCandidates(triple, num_entities, options.filtered);
-          } else {
-            tail_ranks[i] = RankTail(triple, row, options.filtered);
-            tail_cands[i] =
-                CountTailCandidates(triple, num_entities, options.filtered);
-          }
+          ranks[size_t(batch.side)][i] =
+              Rank(batch.side, triple, row, options.filtered);
+          cands[size_t(batch.side)][i] = CountCandidates(
+              batch.side, triple, num_entities, options.filtered);
         }
       }
     });
@@ -364,13 +292,15 @@ EvalResult Evaluator::Evaluate(const KgeModel& model,
 
   // Serial accumulation in original triple order: tail rank then head
   // rank per triple, exactly like the pre-batching inner loop.
+  constexpr size_t kTail = size_t(QuerySide::kTail);
+  constexpr size_t kHead = size_t(QuerySide::kHead);
   for (size_t i = 0; i < num_triples; ++i) {
     const Triple& triple = (*eval_triples)[i];
-    result.overall.AddRank(tail_ranks[i], tail_cands[i]);
-    result.overall.AddRank(head_ranks[i], head_cands[i]);
+    result.overall.AddRank(ranks[kTail][i], cands[kTail][i]);
+    result.overall.AddRank(ranks[kHead][i], cands[kHead][i]);
     PerRelationMetrics& rel = result.per_relation[size_t(triple.relation)];
-    rel.tail_queries.AddRank(tail_ranks[i], tail_cands[i]);
-    rel.head_queries.AddRank(head_ranks[i], head_cands[i]);
+    rel.tail_queries.AddRank(ranks[kTail][i], cands[kTail][i]);
+    rel.head_queries.AddRank(ranks[kHead][i], cands[kHead][i]);
   }
   return result;
 }

@@ -30,21 +30,20 @@ struct EvalOptions {
   size_t max_triples = 0;
   // Threads for the candidate-scoring loop (1 = inline).
   int num_threads = 1;
-  // Queries ranked per ScoreAllTailsBatch/ScoreAllHeadsBatch call. Test
-  // queries are grouped by (relation, side) and scored B at a time, so
-  // each entity-table tile is streamed from DRAM once per B queries
-  // instead of once per query. 0 = auto (see ResolveEvalBatchQueries);
-  // 1 = the legacy per-query ScoreAllTails/ScoreAllHeads path. Metrics
-  // are bit-identical at every setting: ranks are computed per triple
-  // either way and accumulated in the original triple order.
+  // Queries ranked per ScoreAllBatch call. Test queries are grouped by
+  // (relation, side) and scored B at a time, so each entity-table tile
+  // is streamed from DRAM once per B queries instead of once per query.
+  // 0 = auto (see ResolveEvalBatchQueries); 1 = one query per call.
+  // Metrics are bit-identical at every setting: ranks are computed per
+  // triple either way and accumulated in the original triple order.
   int batch_queries = 0;
   // Numeric tier for full-vocabulary candidate scoring (see
   // core/scoring_replica.h): kDouble is the exact protocol; kFloat32 and
   // kInt8 trade bounded metric drift (measured in BENCH_eval.json's
   // precision section) for ranking throughput. The model must report
-  // SupportsScorePrecision(score_precision); non-double tiers always
-  // take the batched path, and Evaluate refreshes the model's scoring
-  // replicas once (PrepareForScoring) before fanning out.
+  // SupportsScorePrecision(score_precision), and Evaluate refreshes
+  // the model's scoring replicas once (PrepareForScoring) before fanning
+  // out.
   ScorePrecision score_precision = ScorePrecision::kDouble;
   // Entity-table shards for the range-scoped ranking path (DESIGN.md
   // §5h). With > 1 (or prune set) ranking runs per-(triple, side, shard)
@@ -109,23 +108,20 @@ class Evaluator {
                                  const std::vector<Triple>& triples,
                                  const EvalOptions& options) const;
 
-  // Rank of the true tail for one query, using `scores` =
-  // model.ScoreAllTails(h, r) (exposed for testing).
+  // Tie-averaged rank of the true answer of `triple`'s `side` query
+  // (AnswerOf(side, triple)), using `scores` =
+  // model.ScoreAll(side, AnchorOf(side, triple), triple.relation)
+  // (exposed for testing).
   KGE_HOT_NOALLOC
-  double RankTail(const Triple& triple, std::span<const float> scores,
-                  bool filtered) const;
-  KGE_HOT_NOALLOC
-  double RankHead(const Triple& triple, std::span<const float> scores,
-                  bool filtered) const;
+  double Rank(QuerySide side, const Triple& triple,
+              std::span<const float> scores, bool filtered) const;
 
   // Number of ranked candidates (the true answer plus surviving
-  // corruptions) for each query direction; feeds the adjusted mean rank.
+  // corruptions) of `triple`'s `side` query; feeds the adjusted mean
+  // rank.
   KGE_HOT_NOALLOC
-  size_t CountTailCandidates(const Triple& triple, int32_t num_entities,
-                             bool filtered) const;
-  KGE_HOT_NOALLOC
-  size_t CountHeadCandidates(const Triple& triple, int32_t num_entities,
-                             bool filtered) const;
+  size_t CountCandidates(QuerySide side, const Triple& triple,
+                         int32_t num_entities, bool filtered) const;
 
  private:
   const FilterIndex* filter_;

@@ -6,73 +6,79 @@
 #include "util/check.h"
 
 namespace kge {
+
+void ShardedTopK(const KgeModel& model, QuerySide side, EntityId anchor,
+                 RelationId relation, std::span<const EntityId> excluded,
+                 ScorePrecision precision, bool prune, int k,
+                 std::span<TopKHeap<float, EntityId>> shard_heaps,
+                 std::span<RankScanStats> shard_stats, ThreadPool* pool,
+                 TopKHeap<float, EntityId>* merged) {
+  const size_t shards = shard_heaps.size();
+  KGE_DCHECK(shards >= 1 && shard_stats.size() == shards);
+  const EntityId num_entities = model.num_entities();
+  merged->ResetCapacity(k);
+  if (shards == 1) {
+    model.TopKInRange(side, anchor, relation, 0, num_entities, excluded,
+                      precision, prune, merged, &shard_stats[0]);
+    return;
+  }
+  float prune_floor = 0.0f;
+  bool have_floor = false;
+  const int64_t prime_end =
+      std::max<int64_t>(k, int64_t(kPrunePrimePrefix)) +
+      int64_t(excluded.size());
+  if (prune && k > 0 && prime_end < int64_t(num_entities)) {
+    model.TopKInRange(side, anchor, relation, 0, EntityId(prime_end),
+                      excluded, precision, /*prune=*/false, merged,
+                      &shard_stats[0]);
+    if (merged->full()) {
+      prune_floor = merged->WorstScore();
+      have_floor = true;
+    }
+    merged->ResetCapacity(k);
+  }
+  for (TopKHeap<float, EntityId>& heap : shard_heaps) {
+    heap.ResetCapacity(k);
+    if (have_floor) heap.SetPruneFloor(prune_floor);
+  }
+  const auto scan_shards = [&](size_t first, size_t last) {
+    for (size_t s = first; s < last; ++s) {
+      model.TopKInRange(side, anchor, relation,
+                        ShardBegin(num_entities, int(shards), int(s)),
+                        ShardBegin(num_entities, int(shards), int(s) + 1),
+                        excluded, precision, prune, &shard_heaps[s],
+                        &shard_stats[s]);
+    }
+  };
+  if (pool != nullptr) {
+    pool->StageFor(0, shards, scan_shards);
+  } else {
+    scan_shards(0, shards);
+  }
+  for (const TopKHeap<float, EntityId>& heap : shard_heaps) {
+    merged->MergeFrom(heap);
+  }
+}
+
 namespace {
 
-// Runs the range-scoped top-k scan shard by shard (sequentially — this
-// is the offline convenience API; the serving layer runs the same scans
-// thread-per-shard) and merges deterministically. With num_shards == 1
-// and prune off this degenerates to one exhaustive pass, so the result
-// is identical for every option combination by the scan contract.
-std::vector<ScoredEntity> SelectTopK(
-    const KgeModel& model, EntityId query_entity, RelationId relation,
-    bool tails, std::span<const EntityId> excluded,
-    const TopKOptions& options) {
-  const int shards = std::max(options.num_shards, 1);
-  const EntityId num_entities = model.num_entities();
+// The offline convenience path: shards scanned sequentially on the
+// calling thread (the serving layer fans them out over a pool).
+std::vector<ScoredEntity> Predict(const KgeModel& model, QuerySide side,
+                                  EntityId anchor, RelationId relation,
+                                  std::span<const EntityId> excluded,
+                                  const TopKOptions& options) {
+  KGE_CHECK(anchor >= 0 && anchor < model.num_entities());
   if (options.prune) {
     model.PrepareForPrunedScoring(ScorePrecision::kDouble);
   }
-  RankScanStats stats;
-  TopKHeap<float, EntityId> merged(options.k);
-  TopKHeap<float, EntityId> shard_heap(options.k);
-  // Sharded + pruned: a shard heap's own minimum only reflects its
-  // shard, so prime a shared floor from an exhaustive prefix scan. The
-  // k-th best of any >= k candidates lower-bounds the global k-th best,
-  // so skipping tiles strictly below it stays exact. The prefix is
-  // padded by the excluded count so the heap still sees >= k admissible
-  // candidates.
-  float prune_floor = 0.0f;
-  bool have_floor = false;
-  if (options.prune && shards > 1) {
-    const int64_t prime_span =
-        std::max<int64_t>(options.k, int64_t(KgeModel::kPrunePrimePrefix)) +
-        int64_t(excluded.size());
-    const EntityId prime_end =
-        EntityId(std::min<int64_t>(int64_t(num_entities), prime_span));
-    shard_heap.ResetCapacity(options.k);
-    if (tails) {
-      model.TopKTailsInRange(query_entity, relation, 0, prime_end, excluded,
-                             ScorePrecision::kDouble, /*prune=*/false,
-                             &shard_heap, &stats);
-    } else {
-      model.TopKHeadsInRange(query_entity, relation, 0, prime_end, excluded,
-                             ScorePrecision::kDouble, /*prune=*/false,
-                             &shard_heap, &stats);
-    }
-    if (shard_heap.full()) {
-      prune_floor = shard_heap.WorstScore();
-      have_floor = true;
-    }
-  }
-  for (int s = 0; s < shards; ++s) {
-    const EntityId begin = ShardBegin(num_entities, shards, s);
-    const EntityId end = ShardBegin(num_entities, shards, s + 1);
-    TopKHeap<float, EntityId>* heap = shards == 1 ? &merged : &shard_heap;
-    if (shards != 1) {
-      shard_heap.ResetCapacity(options.k);
-      if (have_floor) shard_heap.SetPruneFloor(prune_floor);
-    }
-    if (tails) {
-      model.TopKTailsInRange(query_entity, relation, begin, end, excluded,
-                             ScorePrecision::kDouble, options.prune, heap,
-                             &stats);
-    } else {
-      model.TopKHeadsInRange(query_entity, relation, begin, end, excluded,
-                             ScorePrecision::kDouble, options.prune, heap,
-                             &stats);
-    }
-    if (shards != 1) merged.MergeFrom(shard_heap);
-  }
+  const size_t shards = size_t(std::max(options.num_shards, 1));
+  std::vector<TopKHeap<float, EntityId>> shard_heaps(shards);
+  std::vector<RankScanStats> shard_stats(shards);
+  TopKHeap<float, EntityId> merged;
+  ShardedTopK(model, side, anchor, relation, excluded,
+              ScorePrecision::kDouble, options.prune, options.k, shard_heaps,
+              shard_stats, /*pool=*/nullptr, &merged);
   std::vector<ScoredEntity> result;
   result.reserve(size_t(merged.size()));
   for (const auto& entry : merged.TakeSorted()) {
@@ -86,24 +92,21 @@ std::vector<ScoredEntity> SelectTopK(
 std::vector<ScoredEntity> PredictTails(const KgeModel& model, EntityId head,
                                        RelationId relation,
                                        const TopKOptions& options) {
-  KGE_CHECK(head >= 0 && head < model.num_entities());
-  const std::span<const EntityId> excluded =
-      options.exclude_known != nullptr
-          ? options.exclude_known->KnownTails(head, relation)
-          : std::span<const EntityId>();
-  return SelectTopK(model, head, relation, /*tails=*/true, excluded, options);
+  return Predict(model, QuerySide::kTail, head, relation,
+                 options.exclude_known != nullptr
+                     ? options.exclude_known->KnownTails(head, relation)
+                     : std::span<const EntityId>(),
+                 options);
 }
 
 std::vector<ScoredEntity> PredictHeads(const KgeModel& model, EntityId tail,
                                        RelationId relation,
                                        const TopKOptions& options) {
-  KGE_CHECK(tail >= 0 && tail < model.num_entities());
-  const std::span<const EntityId> excluded =
-      options.exclude_known != nullptr
-          ? options.exclude_known->KnownHeads(tail, relation)
-          : std::span<const EntityId>();
-  return SelectTopK(model, tail, relation, /*tails=*/false, excluded,
-                    options);
+  return Predict(model, QuerySide::kHead, tail, relation,
+                 options.exclude_known != nullptr
+                     ? options.exclude_known->KnownHeads(tail, relation)
+                     : std::span<const EntityId>(),
+                 options);
 }
 
 }  // namespace kge

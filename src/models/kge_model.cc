@@ -64,141 +64,75 @@ void PushRangeExcluding(std::span<const float> scores, EntityId begin,
 
 }  // namespace
 
-void KgeModel::ScoreAllTailsBatch(std::span<const EntityId> heads,
-                                  RelationId relation,
-                                  std::span<float> out) const {
+void KgeModel::ScoreAllBatch(QuerySide side, std::span<const EntityId> anchors,
+                             RelationId relation, std::span<float> out,
+                             ScorePrecision precision) const {
+  KGE_CHECK(precision == ScorePrecision::kDouble);
   const size_t num = size_t(num_entities());
-  KGE_DCHECK(out.size() == heads.size() * num);
-  for (size_t q = 0; q < heads.size(); ++q) {
-    ScoreAllTails(heads[q], relation, out.subspan(q * num, num));
+  KGE_DCHECK(out.size() == anchors.size() * num);
+  for (size_t q = 0; q < anchors.size(); ++q) {
+    ScoreAll(side, anchors[q], relation, out.subspan(q * num, num));
   }
 }
 
-void KgeModel::ScoreAllHeadsBatch(std::span<const EntityId> tails,
-                                  RelationId relation,
-                                  std::span<float> out) const {
-  const size_t num = size_t(num_entities());
-  KGE_DCHECK(out.size() == tails.size() * num);
-  for (size_t q = 0; q < tails.size(); ++q) {
-    ScoreAllHeads(tails[q], relation, out.subspan(q * num, num));
-  }
+namespace {
+
+// The full-vocabulary row of one query at `precision`, scored through
+// the batched interface (so reduced tiers see the same values) into
+// per-thread scratch — the input of every exhaustive range-scan fallback.
+KGE_HOT_NOALLOC
+std::span<const float> ScoreRowScratch(const KgeModel& model, QuerySide side,
+                                       EntityId anchor, RelationId relation,
+                                       ScorePrecision precision) {
+  const std::span<float> scores =
+      FullScanScratch(size_t(model.num_entities()));
+  model.ScoreAllBatch(side, std::span<const EntityId>(&anchor, 1), relation,
+                      scores, precision);
+  return scores;
 }
 
-void KgeModel::ScoreAllTailsBatch(std::span<const EntityId> heads,
-                                  RelationId relation, std::span<float> out,
-                                  ScorePrecision precision) const {
-  KGE_CHECK(precision == ScorePrecision::kDouble);
-  ScoreAllTailsBatch(heads, relation, out);
-}
+}  // namespace
 
-void KgeModel::ScoreAllHeadsBatch(std::span<const EntityId> tails,
-                                  RelationId relation, std::span<float> out,
-                                  ScorePrecision precision) const {
-  KGE_CHECK(precision == ScorePrecision::kDouble);
-  ScoreAllHeadsBatch(tails, relation, out);
-}
-
-void KgeModel::CountTailsAbove(EntityId head, RelationId relation,
-                               float threshold, EntityId begin, EntityId end,
-                               std::span<const EntityId> excluded,
-                               EntityId also_skip, ScorePrecision precision,
-                               bool prune, uint64_t* better, uint64_t* equal,
-                               RankScanStats* stats) const {
+void KgeModel::CountAbove(QuerySide side, EntityId anchor, RelationId relation,
+                          float threshold, EntityId begin, EntityId end,
+                          std::span<const EntityId> excluded,
+                          EntityId also_skip, ScorePrecision precision,
+                          bool prune, uint64_t* better, uint64_t* equal,
+                          RankScanStats* stats) const {
   (void)prune;  // no tile bounds in the exhaustive fallback
   if (begin >= end) return;
-  const std::span<float> scores = FullScanScratch(size_t(num_entities()));
-  const EntityId heads[1] = {head};
-  ScoreAllTailsBatch(std::span<const EntityId>(heads, 1), relation, scores,
-                     precision);
-  CountRangeAgainstThreshold(scores, threshold, begin, end, excluded,
-                             also_skip, better, equal);
+  CountRangeAgainstThreshold(
+      ScoreRowScratch(*this, side, anchor, relation, precision), threshold,
+      begin, end, excluded, also_skip, better, equal);
   stats->tiles_total += 1;
 }
 
-void KgeModel::CountHeadsAbove(EntityId tail, RelationId relation,
-                               float threshold, EntityId begin, EntityId end,
-                               std::span<const EntityId> excluded,
-                               EntityId also_skip, ScorePrecision precision,
-                               bool prune, uint64_t* better, uint64_t* equal,
-                               RankScanStats* stats) const {
+float KgeModel::ScoreOne(QuerySide side, const Triple& triple,
+                         ScorePrecision precision) const {
+  return ScoreRowScratch(*this, side, AnchorOf(side, triple), triple.relation,
+                         precision)[size_t(AnswerOf(side, triple))];
+}
+
+void KgeModel::TopKInRange(QuerySide side, EntityId anchor,
+                           RelationId relation, EntityId begin, EntityId end,
+                           std::span<const EntityId> excluded,
+                           ScorePrecision precision, bool prune,
+                           TopKHeap<float, EntityId>* heap,
+                           RankScanStats* stats) const {
   (void)prune;
   if (begin >= end) return;
-  const std::span<float> scores = FullScanScratch(size_t(num_entities()));
-  const EntityId tails[1] = {tail};
-  ScoreAllHeadsBatch(std::span<const EntityId>(tails, 1), relation, scores,
-                     precision);
-  CountRangeAgainstThreshold(scores, threshold, begin, end, excluded,
-                             also_skip, better, equal);
+  PushRangeExcluding(ScoreRowScratch(*this, side, anchor, relation, precision),
+                     begin, end, excluded, heap);
   stats->tiles_total += 1;
 }
 
-float KgeModel::ScoreOneTail(EntityId head, EntityId tail,
-                             RelationId relation,
-                             ScorePrecision precision) const {
-  const std::span<float> scores = FullScanScratch(size_t(num_entities()));
-  const EntityId heads[1] = {head};
-  ScoreAllTailsBatch(std::span<const EntityId>(heads, 1), relation, scores,
-                     precision);
-  return scores[size_t(tail)];
-}
-
-float KgeModel::ScoreOneHead(EntityId head, EntityId tail,
-                             RelationId relation,
-                             ScorePrecision precision) const {
-  const std::span<float> scores = FullScanScratch(size_t(num_entities()));
-  const EntityId tails[1] = {tail};
-  ScoreAllHeadsBatch(std::span<const EntityId>(tails, 1), relation, scores,
-                     precision);
-  return scores[size_t(head)];
-}
-
-void KgeModel::TopKTailsInRange(EntityId head, RelationId relation,
-                                EntityId begin, EntityId end,
-                                std::span<const EntityId> excluded,
-                                ScorePrecision precision, bool prune,
-                                TopKHeap<float, EntityId>* heap,
-                                RankScanStats* stats) const {
-  (void)prune;
-  if (begin >= end) return;
-  const std::span<float> scores = FullScanScratch(size_t(num_entities()));
-  const EntityId heads[1] = {head};
-  ScoreAllTailsBatch(std::span<const EntityId>(heads, 1), relation, scores,
-                     precision);
-  PushRangeExcluding(scores, begin, end, excluded, heap);
-  stats->tiles_total += 1;
-}
-
-void KgeModel::TopKHeadsInRange(EntityId tail, RelationId relation,
-                                EntityId begin, EntityId end,
-                                std::span<const EntityId> excluded,
-                                ScorePrecision precision, bool prune,
-                                TopKHeap<float, EntityId>* heap,
-                                RankScanStats* stats) const {
-  (void)prune;
-  if (begin >= end) return;
-  const std::span<float> scores = FullScanScratch(size_t(num_entities()));
-  const EntityId tails[1] = {tail};
-  ScoreAllHeadsBatch(std::span<const EntityId>(tails, 1), relation, scores,
-                     precision);
-  PushRangeExcluding(scores, begin, end, excluded, heap);
-  stats->tiles_total += 1;
-}
-
-void KgeModel::ScoreTailBatch(EntityId head, RelationId relation,
-                              std::span<const EntityId> tails,
-                              std::span<float> out) const {
-  KGE_DCHECK(out.size() == tails.size());
-  for (size_t i = 0; i < tails.size(); ++i) {
-    out[i] = static_cast<float>(Score({head, tails[i], relation}));
-  }
-}
-
-void KgeModel::ScoreHeadBatch(EntityId tail, RelationId relation,
-                              std::span<const EntityId> heads,
-                              std::span<float> out) const {
-  KGE_DCHECK(out.size() == heads.size());
-  for (size_t i = 0; i < heads.size(); ++i) {
-    out[i] = static_cast<float>(Score({heads[i], tail, relation}));
+void KgeModel::ScoreBatch(QuerySide side, EntityId anchor, RelationId relation,
+                          std::span<const EntityId> candidates,
+                          std::span<float> out) const {
+  KGE_DCHECK(out.size() == candidates.size());
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    out[i] = static_cast<float>(
+        Score(TripleOf(side, anchor, candidates[i], relation)));
   }
 }
 

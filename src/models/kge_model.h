@@ -34,6 +34,28 @@ struct RankScanStats {
   uint64_t tiles_skipped = 0;
 };
 
+// Which end of a partial triple a query ranks. kTail ranks candidate
+// tails for (anchor, ?, relation); kHead ranks candidate heads for
+// (?, anchor, relation). The values are kge_serve's wire encoding
+// (serve/serve_protocol.h), so they must never change.
+enum class QuerySide : uint8_t { kTail = 0, kHead = 1 };
+
+// The known entity of `triple` for a `side` query, and the entity that
+// query ranks.
+constexpr EntityId AnchorOf(QuerySide side, const Triple& triple) {
+  return side == QuerySide::kTail ? triple.head : triple.tail;
+}
+constexpr EntityId AnswerOf(QuerySide side, const Triple& triple) {
+  return side == QuerySide::kTail ? triple.tail : triple.head;
+}
+
+// The triple a `side` query over `anchor` forms with `candidate`.
+constexpr Triple TripleOf(QuerySide side, EntityId anchor, EntityId candidate,
+                          RelationId relation) {
+  return side == QuerySide::kTail ? Triple{anchor, candidate, relation}
+                                  : Triple{candidate, anchor, relation};
+}
+
 // Start of shard s when [0, n) is split into `shards` contiguous
 // near-equal ranges: shard s covers
 // [ShardBegin(n, shards, s), ShardBegin(n, shards, s + 1)). Computed in
@@ -55,56 +77,35 @@ class KgeModel {
   // Matching score S(h, t, r); higher = more likely valid.
   virtual double Score(const Triple& triple) const = 0;
 
-  // Scores (h, t', r) for every candidate tail t' in [0, num_entities);
-  // `out` has num_entities floats. Must be thread-safe for concurrent
-  // calls (used by the parallel evaluator).
+  // Scores every candidate on `side` of a partial triple: for kTail,
+  // (anchor, t', relation) for every t' in [0, num_entities); for kHead,
+  // (h', anchor, relation) for every h'. `out` has num_entities floats.
+  // Must be thread-safe for concurrent calls (used by the parallel
+  // evaluator).
   KGE_HOT_NOALLOC
-  virtual void ScoreAllTails(EntityId head, RelationId relation,
-                             std::span<float> out) const = 0;
-  // Scores (h', t, r) for every candidate head h'.
-  KGE_HOT_NOALLOC
-  virtual void ScoreAllHeads(EntityId tail, RelationId relation,
-                             std::span<float> out) const = 0;
+  virtual void ScoreAll(QuerySide side, EntityId anchor, RelationId relation,
+                        std::span<float> out) const = 0;
 
-  // Batched full-vocabulary scoring: for each query q, scores
-  // (heads[q], t', r) for every candidate tail t' into the row-major
-  // heads.size() × num_entities matrix `out` (row q = query q's scores).
-  // Row q is element-for-element identical to ScoreAllTails(heads[q], r)
-  // — batching is a scheduling contract, never a numeric one. The base
-  // implementation loops ScoreAllTails per query (correct for every
-  // model); the trilinear family overrides it to fold all B contexts
-  // into one scratch matrix and run a single cache-blocked multi-query
-  // kernel (simd::DotBatchMulti), which loads each entity row once per
-  // batch instead of once per query. Must be thread-safe for concurrent
-  // calls (used by the batched parallel evaluator and the 1-vs-All
-  // trainer).
+  // Batched full-vocabulary scoring at `precision`: row q of the
+  // row-major anchors.size() × num_entities matrix `out` scores query
+  // (anchors[q], side). At kDouble row q is element-for-element identical
+  // to ScoreAll(side, anchors[q]) — batching is a scheduling contract,
+  // never a numeric one; kFloat32 accumulates in float over the master
+  // table and kInt8 reads a quantized scoring replica (see
+  // core/scoring_replica.h and math/simd.h's precision-tier contract).
+  // The base implementation loops ScoreAll per query and supports kDouble
+  // only (KGE_CHECK-fails otherwise — callers gate on
+  // SupportsScorePrecision); the trilinear family folds all B contexts
+  // into one scratch matrix and runs a single cache-blocked multi-query
+  // kernel (simd::DotBatchMulti and its tier twins), which loads each
+  // entity row once per batch instead of once per query. Non-double
+  // tiers require a PrepareForScoring(precision) call before concurrent
+  // use. Must be thread-safe for concurrent calls (used by the batched
+  // parallel evaluator, the serving batcher and the 1-vs-All trainer).
   KGE_HOT_NOALLOC
-  virtual void ScoreAllTailsBatch(std::span<const EntityId> heads,
-                                  RelationId relation,
-                                  std::span<float> out) const;
-  // Batched head-side twin: row q scores (h', tails[q], r) for every h'.
-  KGE_HOT_NOALLOC
-  virtual void ScoreAllHeadsBatch(std::span<const EntityId> tails,
-                                  RelationId relation,
-                                  std::span<float> out) const;
-
-  // Precision-tiered batched scoring (EvalOptions::score_precision):
-  // the same contract as the 3-argument overloads with candidate scores
-  // computed at `precision` — kDouble is exact, kFloat32 accumulates in
-  // float over the master table, kInt8 reads a quantized scoring
-  // replica (see core/scoring_replica.h and math/simd.h's precision-tier
-  // contract). The base implementation supports kDouble only (and
-  // KGE_CHECK-fails otherwise — callers gate on SupportsScorePrecision);
-  // models that maintain replicas override all four. Non-double tiers
-  // require a PrepareForScoring(precision) call before concurrent use.
-  KGE_HOT_NOALLOC
-  virtual void ScoreAllTailsBatch(std::span<const EntityId> heads,
-                                  RelationId relation, std::span<float> out,
-                                  ScorePrecision precision) const;
-  KGE_HOT_NOALLOC
-  virtual void ScoreAllHeadsBatch(std::span<const EntityId> tails,
-                                  RelationId relation, std::span<float> out,
-                                  ScorePrecision precision) const;
+  virtual void ScoreAllBatch(QuerySide side, std::span<const EntityId> anchors,
+                             RelationId relation, std::span<float> out,
+                             ScorePrecision precision) const;
 
   // True when the model can score full-vocabulary batches at
   // `precision`. Every model supports kDouble; only models with scoring
@@ -133,105 +134,83 @@ class KgeModel {
 
   // ---- Range-scoped ranking scans (sharded / pruned path, §5h) -------------
   //
-  // These four scans restrict ranking to the candidate range
-  // [begin, end) of the entity table. Scores are the exact float values
-  // the batched kernels produce at `precision` (the per-cell numerics
-  // contract of math/simd.h), so restricting the range is pure
-  // scheduling: counts summed over any shard partition of
-  // [0, num_entities) equal the single-range counts bit-for-bit, and a
-  // top-k heap fed per shard then merged returns exactly the single-pass
-  // result. When `prune` is set, models with precomputed tile bounds
-  // (the trilinear family, via ScoringReplica) skip tiles whose
-  // Cauchy–Schwarz upper bound proves every score in them is below the
-  // current threshold — exact, never approximate. The base
-  // implementations are exhaustive (score the full vocabulary into
-  // thread-local scratch, then walk the range) and report the range as
-  // one unskipped tile. All four must be thread-safe for concurrent
-  // calls; non-double tiers require PrepareForScoring first.
+  // These scans restrict ranking to the candidate range [begin, end) of
+  // the entity table. Scores are the exact float values ScoreAllBatch
+  // produces at `precision` (the per-cell numerics contract of
+  // math/simd.h), so restricting the range is pure scheduling: counts
+  // summed over any shard partition of [0, num_entities) equal the
+  // single-range counts bit-for-bit, and a top-k heap fed per shard then
+  // merged returns exactly the single-pass result. When `prune` is set,
+  // models with precomputed tile bounds (the trilinear family, via
+  // ScoringReplica) skip tiles whose Cauchy–Schwarz upper bound proves
+  // every score in them is below the current threshold — exact, never
+  // approximate. The base implementations are exhaustive (score the full
+  // vocabulary into thread-local scratch, then walk the range) and report
+  // the range as one unskipped tile. All must be thread-safe for
+  // concurrent calls; non-double tiers require PrepareForScoring first.
 
-  // Counts candidate tails t' in [begin, end) with score strictly above
-  // (*better) resp. equal to (*equal) `threshold`, skipping ids in
-  // `excluded` (sorted ascending) and `also_skip` (pass kNoSkipEntity
-  // for none; an also_skip id that also appears in `excluded` is skipped
-  // once). Adds to *better/*equal and to `stats`.
+  // Counts candidates in [begin, end) on `side` of (anchor, relation)
+  // with score strictly above (*better) resp. equal to (*equal)
+  // `threshold`, skipping ids in `excluded` (sorted ascending) and
+  // `also_skip` (pass kNoSkipEntity for none; an also_skip id that also
+  // appears in `excluded` is skipped once). Adds to *better/*equal and to
+  // `stats`.
   KGE_HOT_NOALLOC
-  virtual void CountTailsAbove(EntityId head, RelationId relation,
-                               float threshold, EntityId begin, EntityId end,
-                               std::span<const EntityId> excluded,
-                               EntityId also_skip, ScorePrecision precision,
-                               bool prune, uint64_t* better, uint64_t* equal,
-                               RankScanStats* stats) const;
-  // Head-side twin: counts candidate heads h' for (h', tail, relation).
-  KGE_HOT_NOALLOC
-  virtual void CountHeadsAbove(EntityId tail, RelationId relation,
-                               float threshold, EntityId begin, EntityId end,
-                               std::span<const EntityId> excluded,
-                               EntityId also_skip, ScorePrecision precision,
-                               bool prune, uint64_t* better, uint64_t* equal,
-                               RankScanStats* stats) const;
+  virtual void CountAbove(QuerySide side, EntityId anchor, RelationId relation,
+                          float threshold, EntityId begin, EntityId end,
+                          std::span<const EntityId> excluded,
+                          EntityId also_skip, ScorePrecision precision,
+                          bool prune, uint64_t* better, uint64_t* equal,
+                          RankScanStats* stats) const;
 
-  // Sentinel for CountTailsAbove/CountHeadsAbove's also_skip.
+  // Sentinel for CountAbove's also_skip.
   static constexpr EntityId kNoSkipEntity = EntityId(-1);
 
-  // Prefix length sharded+pruned callers scan exhaustively to prime a
-  // shared prune floor (TopKHeap::SetPruneFloor) before fanning out.
-  // The k-th best of the prefix lower-bounds the global k-th best, so
-  // the floor keeps per-shard pruning exact; a few thousand candidates
-  // make it tight enough to bite (k alone is too noisy — a high-norm
-  // row does not guarantee a high score), while staying a negligible
-  // fraction of a 100k+ entity table.
-  static constexpr EntityId kPrunePrimePrefix = EntityId(2048);
+  // The float score of `triple` exactly as the `side` query's batched
+  // kernels produce it at `precision` — the rank threshold of the pruned
+  // evaluator. (float(Score(triple)) is NOT the same value for reduced
+  // tiers, and can differ in the last bit even at kDouble for models
+  // whose ScoreAll path reassociates.)
+  KGE_HOT_NOALLOC
+  virtual float ScoreOne(QuerySide side, const Triple& triple,
+                         ScorePrecision precision) const;
 
-  // The float score of the single cell (head, tail) exactly as the
-  // batched kernels produce it at `precision` — the rank threshold of
-  // the pruned evaluator. (float(Score(triple)) is NOT the same value
-  // for reduced tiers, and can differ in the last bit even at kDouble
-  // for models whose ScoreAll* path reassociates.)
+  // Offers every candidate in [begin, end) on `side` of (anchor,
+  // relation) that is not in `excluded` (sorted ascending) to `heap`.
+  // With `prune`, tiles whose bound cannot beat the heap's current
+  // minimum (or its prune floor) are skipped — only on a strictly-less
+  // comparison (an equal-score candidate can still win its way in via
+  // the smaller-id tie-break, so equality never skips).
   KGE_HOT_NOALLOC
-  virtual float ScoreOneTail(EntityId head, EntityId tail,
-                             RelationId relation,
-                             ScorePrecision precision) const;
-  KGE_HOT_NOALLOC
-  virtual float ScoreOneHead(EntityId head, EntityId tail,
-                             RelationId relation,
-                             ScorePrecision precision) const;
+  virtual void TopKInRange(QuerySide side, EntityId anchor,
+                           RelationId relation, EntityId begin, EntityId end,
+                           std::span<const EntityId> excluded,
+                           ScorePrecision precision, bool prune,
+                           TopKHeap<float, EntityId>* heap,
+                           RankScanStats* stats) const;
 
-  // Offers every candidate tail in [begin, end) not in `excluded`
-  // (sorted ascending) to `heap`. With `prune`, tiles whose bound
-  // cannot beat the heap's current minimum are skipped — only once the
-  // heap is full, and only on a strictly-less comparison (an
-  // equal-score candidate can still win its way in via the smaller-id
-  // tie-break, so equality never skips).
-  KGE_HOT_NOALLOC
-  virtual void TopKTailsInRange(EntityId head, RelationId relation,
-                                EntityId begin, EntityId end,
-                                std::span<const EntityId> excluded,
-                                ScorePrecision precision, bool prune,
-                                TopKHeap<float, EntityId>* heap,
-                                RankScanStats* stats) const;
-  KGE_HOT_NOALLOC
-  virtual void TopKHeadsInRange(EntityId tail, RelationId relation,
-                                EntityId begin, EntityId end,
-                                std::span<const EntityId> excluded,
-                                ScorePrecision precision, bool prune,
-                                TopKHeap<float, EntityId>* heap,
-                                RankScanStats* stats) const;
+  // TopKInRange(QuerySide::kTail, …) under the name the benchmark
+  // harness (kgebench/layers.cc) calls.
+  void TopKTailsInRange(EntityId head, RelationId relation, EntityId begin,
+                        EntityId end, std::span<const EntityId> excluded,
+                        ScorePrecision precision, bool prune,
+                        TopKHeap<float, EntityId>* heap,
+                        RankScanStats* stats) const {
+    TopKInRange(QuerySide::kTail, head, relation, begin, end, excluded,
+                precision, prune, heap, stats);
+  }
 
-  // Scores (h, t', r) for each candidate tail t' in `tails`;
-  // out[i] = float(Score({h, tails[i], r})). The base implementation
-  // loops over Score; models with a fold decomposition override this to
-  // fold the (h, r) context once and score all candidates with a single
-  // batched matrix-vector product. Must be thread-safe for concurrent
-  // calls (used by the parallel trainer shards).
+  // Scores each candidate in `candidates` on `side` of (anchor,
+  // relation): out[i] = float(Score(TripleOf(side, anchor, candidates[i],
+  // relation))). The base implementation loops over Score; models with a
+  // fold decomposition override this to fold the context once and score
+  // all candidates with a single batched matrix-vector product. Must be
+  // thread-safe for concurrent calls (used by the parallel trainer
+  // shards).
   KGE_HOT_NOALLOC
-  virtual void ScoreTailBatch(EntityId head, RelationId relation,
-                              std::span<const EntityId> tails,
-                              std::span<float> out) const;
-  // Scores (h', t, r) for each candidate head h' in `heads`.
-  KGE_HOT_NOALLOC
-  virtual void ScoreHeadBatch(EntityId tail, RelationId relation,
-                              std::span<const EntityId> heads,
-                              std::span<float> out) const;
+  virtual void ScoreBatch(QuerySide side, EntityId anchor, RelationId relation,
+                          std::span<const EntityId> candidates,
+                          std::span<float> out) const;
 
   // Parameter blocks in a fixed order; the index of a block in this
   // vector is its block index in GradientBuffer.

@@ -101,80 +101,55 @@ double Ntn::Score(const Triple& triple) const {
   return score;
 }
 
-void Ntn::ScoreAllTails(EntityId head, RelationId relation,
-                        std::span<float> out) const {
+void Ntn::ScoreAll(QuerySide side, EntityId anchor, RelationId relation,
+                   std::span<float> out) const {
   KGE_CHECK(out.size() == size_t(entities_.num_ids()));
-  // Precompute per-slice hᵀW (k vectors of D) and hᵀV_h; per candidate t
-  // each slice costs O(D).
-  const auto h = entities_.Of(head);
+  // Precompute per slice the anchor's bilinear half (hᵀW for a tail
+  // query, W t for a head query) and its linear term; per candidate each
+  // slice then costs O(D).
+  const auto known = entities_.Of(anchor);
   const RelationView view = ViewOf(relation);
   const size_t d = size_t(dim());
   const size_t k = size_t(num_slices_);
-  static thread_local std::vector<double> hw_buf;
-  static thread_local std::vector<double> h_linear_buf;
-  const std::span<double> hw = ScratchSpan(hw_buf, k * d);
-  const std::span<double> h_linear = ScratchSpan(h_linear_buf, k);
-  std::fill(hw.begin(), hw.end(), 0.0);
-  std::fill(h_linear.begin(), h_linear.end(), 0.0);
+  const bool tail_query = side == QuerySide::kTail;
+  // V_r = [V_h | V_t]: the anchor reads one half, candidates the other.
+  const size_t anchor_offset = tail_query ? 0 : d;
+  const size_t candidate_offset = tail_query ? d : 0;
+  static thread_local std::vector<double> bilinear_buf;
+  static thread_local std::vector<double> linear_buf;
+  const std::span<double> bilinear = ScratchSpan(bilinear_buf, k * d);
+  const std::span<double> linear = ScratchSpan(linear_buf, k);
+  std::fill(bilinear.begin(), bilinear.end(), 0.0);
+  std::fill(linear.begin(), linear.end(), 0.0);
   for (size_t slice = 0; slice < k; ++slice) {
     const float* w = view.w.data() + slice * d * d;
-    for (size_t a = 0; a < d; ++a) {
-      const double ha = h[a];
-      for (size_t bcol = 0; bcol < d; ++bcol) {
-        hw[slice * d + bcol] += ha * double(w[a * d + bcol]);
+    if (tail_query) {
+      for (size_t a = 0; a < d; ++a) {
+        const double ha = known[a];
+        for (size_t bcol = 0; bcol < d; ++bcol) {
+          bilinear[slice * d + bcol] += ha * double(w[a * d + bcol]);
+        }
+      }
+    } else {
+      for (size_t a = 0; a < d; ++a) {
+        double row_dot = 0.0;
+        for (size_t bcol = 0; bcol < d; ++bcol) {
+          row_dot += double(w[a * d + bcol]) * double(known[bcol]);
+        }
+        bilinear[slice * d + a] = row_dot;
       }
     }
-    const float* v = view.v.data() + slice * 2 * d;
-    for (size_t a = 0; a < d; ++a) h_linear[slice] += double(v[a]) * h[a];
+    const float* v = view.v.data() + slice * 2 * d + anchor_offset;
+    for (size_t a = 0; a < d; ++a) linear[slice] += double(v[a]) * known[a];
   }
   for (int32_t e = 0; e < entities_.num_ids(); ++e) {
-    const auto t = entities_.Of(e);
+    const auto candidate = entities_.Of(e);
     double score = 0.0;
     for (size_t slice = 0; slice < k; ++slice) {
-      const float* v = view.v.data() + slice * 2 * d;
-      double z = h_linear[slice] + double(view.b[slice]);
+      const float* v = view.v.data() + slice * 2 * d + candidate_offset;
+      double z = linear[slice] + double(view.b[slice]);
       for (size_t a = 0; a < d; ++a) {
-        z += (hw[slice * d + a] + double(v[d + a])) * double(t[a]);
-      }
-      score += double(view.u[slice]) * std::tanh(z);
-    }
-    out[size_t(e)] = static_cast<float>(score);
-  }
-}
-
-void Ntn::ScoreAllHeads(EntityId tail, RelationId relation,
-                        std::span<float> out) const {
-  KGE_CHECK(out.size() == size_t(entities_.num_ids()));
-  const auto t = entities_.Of(tail);
-  const RelationView view = ViewOf(relation);
-  const size_t d = size_t(dim());
-  const size_t k = size_t(num_slices_);
-  // Precompute per-slice W t and tᵀV_t.
-  static thread_local std::vector<double> wt_buf;
-  static thread_local std::vector<double> t_linear_buf;
-  const std::span<double> wt = ScratchSpan(wt_buf, k * d);
-  const std::span<double> t_linear = ScratchSpan(t_linear_buf, k);
-  std::fill(t_linear.begin(), t_linear.end(), 0.0);
-  for (size_t slice = 0; slice < k; ++slice) {
-    const float* w = view.w.data() + slice * d * d;
-    for (size_t a = 0; a < d; ++a) {
-      double row_dot = 0.0;
-      for (size_t bcol = 0; bcol < d; ++bcol) {
-        row_dot += double(w[a * d + bcol]) * double(t[bcol]);
-      }
-      wt[slice * d + a] = row_dot;
-    }
-    const float* v = view.v.data() + slice * 2 * d;
-    for (size_t a = 0; a < d; ++a) t_linear[slice] += double(v[d + a]) * t[a];
-  }
-  for (int32_t e = 0; e < entities_.num_ids(); ++e) {
-    const auto h = entities_.Of(e);
-    double score = 0.0;
-    for (size_t slice = 0; slice < k; ++slice) {
-      const float* v = view.v.data() + slice * 2 * d;
-      double z = t_linear[slice] + double(view.b[slice]);
-      for (size_t a = 0; a < d; ++a) {
-        z += (wt[slice * d + a] + double(v[a])) * double(h[a]);
+        z += (bilinear[slice * d + a] + double(v[a])) * double(candidate[a]);
       }
       score += double(view.u[slice]) * std::tanh(z);
     }

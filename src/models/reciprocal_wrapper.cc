@@ -14,11 +14,14 @@ ReciprocalWrapper::ReciprocalWrapper(KgeModel* base,
   KGE_CHECK(base_->num_relations() == 2 * original_relations);
 }
 
-void ReciprocalWrapper::ScoreAllHeads(EntityId tail, RelationId relation,
-                                      std::span<float> out) const {
-  KGE_CHECK(relation >= 0 && relation < original_relations_);
-  base_->ScoreAllTails(
-      tail, AugmentedRelationOf(relation, original_relations_), out);
+void ReciprocalWrapper::ScoreAll(QuerySide side, EntityId anchor,
+                                 RelationId relation,
+                                 std::span<float> out) const {
+  if (side == QuerySide::kHead) {
+    KGE_CHECK(relation >= 0 && relation < original_relations_);
+    relation = AugmentedRelationOf(relation, original_relations_);
+  }
+  base_->ScoreAll(QuerySide::kTail, anchor, relation, out);
 }
 
 }  // namespace kge

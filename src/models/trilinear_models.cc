@@ -37,72 +37,60 @@ double MultiEmbeddingModel::Score(const Triple& triple) const {
                      relations_.Of(triple.relation));
 }
 
-void MultiEmbeddingModel::ScoreAllTails(EntityId head, RelationId relation,
-                                        std::span<float> out) const {
-  KGE_CHECK(out.size() == size_t(entities_.num_ids()));
-  // Fold once into per-thread scratch, then one tiled matrix-vector
-  // product over the whole entity table (rows are contiguous in the
-  // parameter block). Zero heap allocations at steady state.
+namespace {
+
+// The side-specific half of every scoring path: the fold of a tail
+// query's (h, r) or a head query's (t, r) context into `out`.
+KGE_HOT_NOALLOC
+void FoldContext(QuerySide side, const WeightTable& weights, int32_t dim,
+                 std::span<const float> anchor, std::span<const float> rel,
+                 std::span<float> out) {
+  if (side == QuerySide::kTail) {
+    FoldForTail(weights, dim, anchor, rel, out);
+  } else {
+    FoldForHead(weights, dim, anchor, rel, out);
+  }
+}
+
+}  // namespace
+
+std::span<const float> MultiEmbeddingModel::Fold(QuerySide side,
+                                                 EntityId anchor,
+                                                 RelationId relation) const {
+  // One per-thread fold buffer: no scoring path holds a fold across a
+  // call that folds again.
   static thread_local std::vector<float> fold_buf;
   const std::span<float> fold =
       ScratchSpan(fold_buf, size_t(weights_.ne()) * size_t(dim_));
-  FoldForTail(weights_, dim_, entities_.Of(head), relations_.Of(relation),
-              fold);
-  DotBatch(fold, entities_.block().Flat(), out);
+  FoldContext(side, weights_, dim_, entities_.Of(anchor),
+              relations_.Of(relation), fold);
+  return fold;
 }
 
-void MultiEmbeddingModel::ScoreAllHeads(EntityId tail, RelationId relation,
-                                        std::span<float> out) const {
+void MultiEmbeddingModel::ScoreAll(QuerySide side, EntityId anchor,
+                                   RelationId relation,
+                                   std::span<float> out) const {
   KGE_CHECK(out.size() == size_t(entities_.num_ids()));
-  static thread_local std::vector<float> fold_buf;
-  const std::span<float> fold =
-      ScratchSpan(fold_buf, size_t(weights_.ne()) * size_t(dim_));
-  FoldForHead(weights_, dim_, entities_.Of(tail), relations_.Of(relation),
-              fold);
-  DotBatch(fold, entities_.block().Flat(), out);
+  // Fold once, then one tiled matrix-vector product over the whole
+  // entity table (rows are contiguous in the parameter block). Zero heap
+  // allocations at steady state.
+  DotBatch(Fold(side, anchor, relation), entities_.block().Flat(), out);
 }
 
-void MultiEmbeddingModel::ScoreTailBatch(EntityId head, RelationId relation,
-                                         std::span<const EntityId> tails,
-                                         std::span<float> out) const {
-  KGE_CHECK(out.size() == tails.size());
-  const size_t width = size_t(weights_.ne()) * size_t(dim_);
-  static thread_local std::vector<float> fold_buf;
-  const std::span<float> fold = ScratchSpan(fold_buf, width);
-  FoldForTail(weights_, dim_, entities_.Of(head), relations_.Of(relation),
-              fold);
+void MultiEmbeddingModel::ScoreBatch(QuerySide side, EntityId anchor,
+                                     RelationId relation,
+                                     std::span<const EntityId> candidates,
+                                     std::span<float> out) const {
+  KGE_CHECK(out.size() == candidates.size());
   // Candidate rows are scored in place in the entity table via the
   // id-indirected kernel — no per-call gather copy.
-  DotBatchIndexed(fold, entities_.block().Flat(), tails, out);
-}
-
-void MultiEmbeddingModel::ScoreHeadBatch(EntityId tail, RelationId relation,
-                                         std::span<const EntityId> heads,
-                                         std::span<float> out) const {
-  KGE_CHECK(out.size() == heads.size());
-  const size_t width = size_t(weights_.ne()) * size_t(dim_);
-  static thread_local std::vector<float> fold_buf;
-  const std::span<float> fold = ScratchSpan(fold_buf, width);
-  FoldForHead(weights_, dim_, entities_.Of(tail), relations_.Of(relation),
-              fold);
-  DotBatchIndexed(fold, entities_.block().Flat(), heads, out);
-}
-
-void MultiEmbeddingModel::ScoreAllTailsBatch(std::span<const EntityId> heads,
-                                             RelationId relation,
-                                             std::span<float> out) const {
-  ScoreAllTailsBatch(heads, relation, out, ScorePrecision::kDouble);
-}
-
-void MultiEmbeddingModel::ScoreAllHeadsBatch(std::span<const EntityId> tails,
-                                             RelationId relation,
-                                             std::span<float> out) const {
-  ScoreAllHeadsBatch(tails, relation, out, ScorePrecision::kDouble);
+  DotBatchIndexed(Fold(side, anchor, relation), entities_.block().Flat(),
+                  candidates, out);
 }
 
 namespace {
 
-// The per-tier multi-query product behind both batched scorers: one
+// The per-tier multi-query product behind the batched scorer: one
 // kernel dispatch against the entity table (double and float32 tiers
 // stream the same master rows; int8 streams the quantized replica,
 // which must be fresh — PrepareForScoring runs before the fanout).
@@ -128,44 +116,26 @@ void DotBatchMultiAt(ScorePrecision precision, std::span<const float> folds,
 
 }  // namespace
 
-void MultiEmbeddingModel::ScoreAllTailsBatch(std::span<const EntityId> heads,
-                                             RelationId relation,
-                                             std::span<float> out,
-                                             ScorePrecision precision) const {
+void MultiEmbeddingModel::ScoreAllBatch(QuerySide side,
+                                        std::span<const EntityId> anchors,
+                                        RelationId relation,
+                                        std::span<float> out,
+                                        ScorePrecision precision) const {
   const size_t num = size_t(entities_.num_ids());
-  KGE_CHECK(out.size() == heads.size() * num);
-  if (heads.empty()) return;
+  KGE_CHECK(out.size() == anchors.size() * num);
+  if (anchors.empty()) return;
   const size_t width = size_t(weights_.ne()) * size_t(dim_);
-  // Fold every (head, relation) context into one row-major B × width
-  // scratch matrix, then a single multi-query product over the entity
-  // table. Zero heap allocations at steady state.
+  // Fold every context into one row-major B × width scratch matrix, then
+  // a single multi-query product over the entity table. Zero heap
+  // allocations at steady state.
   static thread_local std::vector<float> folds_buf;
-  const std::span<float> folds = ScratchSpan(folds_buf, heads.size() * width);
+  const std::span<float> folds = ScratchSpan(folds_buf, anchors.size() * width);
   const std::span<const float> rel = relations_.Of(relation);
-  for (size_t q = 0; q < heads.size(); ++q) {
-    FoldForTail(weights_, dim_, entities_.Of(heads[q]), rel,
+  for (size_t q = 0; q < anchors.size(); ++q) {
+    FoldContext(side, weights_, dim_, entities_.Of(anchors[q]), rel,
                 folds.subspan(q * width, width));
   }
-  DotBatchMultiAt(precision, folds, heads.size(), entities_.block(),
-                  entity_replica_, out);
-}
-
-void MultiEmbeddingModel::ScoreAllHeadsBatch(std::span<const EntityId> tails,
-                                             RelationId relation,
-                                             std::span<float> out,
-                                             ScorePrecision precision) const {
-  const size_t num = size_t(entities_.num_ids());
-  KGE_CHECK(out.size() == tails.size() * num);
-  if (tails.empty()) return;
-  const size_t width = size_t(weights_.ne()) * size_t(dim_);
-  static thread_local std::vector<float> folds_buf;
-  const std::span<float> folds = ScratchSpan(folds_buf, tails.size() * width);
-  const std::span<const float> rel = relations_.Of(relation);
-  for (size_t q = 0; q < tails.size(); ++q) {
-    FoldForHead(weights_, dim_, entities_.Of(tails[q]), rel,
-                folds.subspan(q * width, width));
-  }
-  DotBatchMultiAt(precision, folds, tails.size(), entities_.block(),
+  DotBatchMultiAt(precision, folds, anchors.size(), entities_.block(),
                   entity_replica_, out);
 }
 
@@ -202,12 +172,13 @@ void ScoreRowsAt(ScorePrecision precision, const float* fold, size_t width,
 
 }  // namespace
 
-void MultiEmbeddingModel::PrunedCountScan(
-    std::span<const float> fold, float threshold, EntityId begin,
-    EntityId end, std::span<const EntityId> excluded, EntityId also_skip,
-    ScorePrecision precision, bool prune, uint64_t* better, uint64_t* equal,
-    RankScanStats* stats) const {
+void MultiEmbeddingModel::CountAbove(
+    QuerySide side, EntityId anchor, RelationId relation, float threshold,
+    EntityId begin, EntityId end, std::span<const EntityId> excluded,
+    EntityId also_skip, ScorePrecision precision, bool prune, uint64_t* better,
+    uint64_t* equal, RankScanStats* stats) const {
   if (begin >= end) return;
+  const std::span<const float> fold = Fold(side, anchor, relation);
   const size_t width = fold.size();
   const size_t rows_per_tile = simd::PrunedTileRows(width);
   static thread_local std::vector<float> tile_buf;
@@ -278,11 +249,22 @@ void MultiEmbeddingModel::PrunedCountScan(
   *equal += e_total;
 }
 
-void MultiEmbeddingModel::PrunedTopKScan(
-    std::span<const float> fold, EntityId begin, EntityId end,
-    std::span<const EntityId> excluded, ScorePrecision precision, bool prune,
-    TopKHeap<float, EntityId>* heap, RankScanStats* stats) const {
+float MultiEmbeddingModel::ScoreOne(QuerySide side, const Triple& triple,
+                                    ScorePrecision precision) const {
+  const std::span<const float> fold =
+      Fold(side, AnchorOf(side, triple), triple.relation);
+  float out = 0.0f;
+  ScoreRowsAt(precision, fold.data(), fold.size(), entities_.block(),
+              entity_replica_, size_t(AnswerOf(side, triple)), 1, &out);
+  return out;
+}
+
+void MultiEmbeddingModel::TopKInRange(
+    QuerySide side, EntityId anchor, RelationId relation, EntityId begin,
+    EntityId end, std::span<const EntityId> excluded, ScorePrecision precision,
+    bool prune, TopKHeap<float, EntityId>* heap, RankScanStats* stats) const {
   if (begin >= end) return;
+  const std::span<const float> fold = Fold(side, anchor, relation);
   const size_t width = fold.size();
   const size_t rows_per_tile = simd::PrunedTileRows(width);
   static thread_local std::vector<float> tile_buf;
@@ -327,86 +309,6 @@ void MultiEmbeddingModel::PrunedTopKScan(
     }
     row0 = tile_end;
   }
-}
-
-void MultiEmbeddingModel::CountTailsAbove(
-    EntityId head, RelationId relation, float threshold, EntityId begin,
-    EntityId end, std::span<const EntityId> excluded, EntityId also_skip,
-    ScorePrecision precision, bool prune, uint64_t* better, uint64_t* equal,
-    RankScanStats* stats) const {
-  const size_t width = size_t(weights_.ne()) * size_t(dim_);
-  static thread_local std::vector<float> fold_buf;
-  const std::span<float> fold = ScratchSpan(fold_buf, width);
-  FoldForTail(weights_, dim_, entities_.Of(head), relations_.Of(relation),
-              fold);
-  PrunedCountScan(fold, threshold, begin, end, excluded, also_skip, precision,
-                  prune, better, equal, stats);
-}
-
-void MultiEmbeddingModel::CountHeadsAbove(
-    EntityId tail, RelationId relation, float threshold, EntityId begin,
-    EntityId end, std::span<const EntityId> excluded, EntityId also_skip,
-    ScorePrecision precision, bool prune, uint64_t* better, uint64_t* equal,
-    RankScanStats* stats) const {
-  const size_t width = size_t(weights_.ne()) * size_t(dim_);
-  static thread_local std::vector<float> fold_buf;
-  const std::span<float> fold = ScratchSpan(fold_buf, width);
-  FoldForHead(weights_, dim_, entities_.Of(tail), relations_.Of(relation),
-              fold);
-  PrunedCountScan(fold, threshold, begin, end, excluded, also_skip, precision,
-                  prune, better, equal, stats);
-}
-
-float MultiEmbeddingModel::ScoreOneTail(EntityId head, EntityId tail,
-                                        RelationId relation,
-                                        ScorePrecision precision) const {
-  const size_t width = size_t(weights_.ne()) * size_t(dim_);
-  static thread_local std::vector<float> fold_buf;
-  const std::span<float> fold = ScratchSpan(fold_buf, width);
-  FoldForTail(weights_, dim_, entities_.Of(head), relations_.Of(relation),
-              fold);
-  float out = 0.0f;
-  ScoreRowsAt(precision, fold.data(), width, entities_.block(),
-              entity_replica_, size_t(tail), 1, &out);
-  return out;
-}
-
-float MultiEmbeddingModel::ScoreOneHead(EntityId head, EntityId tail,
-                                        RelationId relation,
-                                        ScorePrecision precision) const {
-  const size_t width = size_t(weights_.ne()) * size_t(dim_);
-  static thread_local std::vector<float> fold_buf;
-  const std::span<float> fold = ScratchSpan(fold_buf, width);
-  FoldForHead(weights_, dim_, entities_.Of(tail), relations_.Of(relation),
-              fold);
-  float out = 0.0f;
-  ScoreRowsAt(precision, fold.data(), width, entities_.block(),
-              entity_replica_, size_t(head), 1, &out);
-  return out;
-}
-
-void MultiEmbeddingModel::TopKTailsInRange(
-    EntityId head, RelationId relation, EntityId begin, EntityId end,
-    std::span<const EntityId> excluded, ScorePrecision precision, bool prune,
-    TopKHeap<float, EntityId>* heap, RankScanStats* stats) const {
-  const size_t width = size_t(weights_.ne()) * size_t(dim_);
-  static thread_local std::vector<float> fold_buf;
-  const std::span<float> fold = ScratchSpan(fold_buf, width);
-  FoldForTail(weights_, dim_, entities_.Of(head), relations_.Of(relation),
-              fold);
-  PrunedTopKScan(fold, begin, end, excluded, precision, prune, heap, stats);
-}
-
-void MultiEmbeddingModel::TopKHeadsInRange(
-    EntityId tail, RelationId relation, EntityId begin, EntityId end,
-    std::span<const EntityId> excluded, ScorePrecision precision, bool prune,
-    TopKHeap<float, EntityId>* heap, RankScanStats* stats) const {
-  const size_t width = size_t(weights_.ne()) * size_t(dim_);
-  static thread_local std::vector<float> fold_buf;
-  const std::span<float> fold = ScratchSpan(fold_buf, width);
-  FoldForHead(weights_, dim_, entities_.Of(tail), relations_.Of(relation),
-              fold);
-  PrunedTopKScan(fold, begin, end, excluded, precision, prune, heap, stats);
 }
 
 std::vector<ParameterBlock*> MultiEmbeddingModel::Blocks() {

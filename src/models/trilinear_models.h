@@ -33,51 +33,33 @@ class MultiEmbeddingModel : public KgeModel {
   int32_t dim() const { return dim_; }
 
   double Score(const Triple& triple) const override;
+  // Every scoring path folds the fixed (h, r) / (t, r) context once
+  // (FoldForTail / FoldForHead — the only thing that differs between the
+  // two query sides) and takes dot products of the fold with entity rows.
   KGE_HOT_NOALLOC
-  void ScoreAllTails(EntityId head, RelationId relation,
-                     std::span<float> out) const override;
+  void ScoreAll(QuerySide side, EntityId anchor, RelationId relation,
+                std::span<float> out) const override;
+  // Batched candidate scoring: the candidates are scored straight out of
+  // the entity table with the id-indirected kernel
+  // (simd::DotBatchIndexed) — no copy of the candidate rows. Each score
+  // is exactly float(Dot(fold, candidate)) — the same value ScoreAll
+  // computes for that entity.
   KGE_HOT_NOALLOC
-  void ScoreAllHeads(EntityId tail, RelationId relation,
-                     std::span<float> out) const override;
-  // Batched candidate scoring: fold the fixed (h, r) / (t, r) context
-  // once, then score the candidates straight out of the entity table
-  // with the id-indirected kernel (simd::DotBatchIndexed) — no copy of
-  // the candidate rows. Each score is exactly float(Dot(fold, candidate))
-  // — the same value ScoreAllTails/Heads computes for that entity.
-  KGE_HOT_NOALLOC
-  void ScoreTailBatch(EntityId head, RelationId relation,
-                      std::span<const EntityId> tails,
-                      std::span<float> out) const override;
-  KGE_HOT_NOALLOC
-  void ScoreHeadBatch(EntityId tail, RelationId relation,
-                      std::span<const EntityId> heads,
-                      std::span<float> out) const override;
+  void ScoreBatch(QuerySide side, EntityId anchor, RelationId relation,
+                  std::span<const EntityId> candidates,
+                  std::span<float> out) const override;
   // Batched full-vocabulary scoring: fold all B contexts into one
   // per-thread B × width scratch matrix, then a single cache-blocked
-  // multi-query product against the entity table (simd::DotBatchMulti).
-  // Row q equals ScoreAllTails(heads[q], relation) bit-for-bit.
+  // multi-query product against the entity table dispatched per tier —
+  // DotBatchMulti (kDouble), DotBatchMultiF32 (float accumulation over
+  // the same entity table), or DotBatchMultiI8 against the entity
+  // block's quantized ScoringReplica. The folds themselves always
+  // evaluate in float, so tiers differ only in the candidate product.
+  // At kDouble row q equals ScoreAll(side, anchors[q]) bit-for-bit.
   KGE_HOT_NOALLOC
-  void ScoreAllTailsBatch(std::span<const EntityId> heads,
-                          RelationId relation,
-                          std::span<float> out) const override;
-  KGE_HOT_NOALLOC
-  void ScoreAllHeadsBatch(std::span<const EntityId> tails,
-                          RelationId relation,
-                          std::span<float> out) const override;
-  // Precision-tiered variants: the same fold step, with the multi-query
-  // product dispatched per tier — DotBatchMulti (kDouble),
-  // DotBatchMultiF32 (float accumulation over the same entity table), or
-  // DotBatchMultiI8 against the entity block's quantized ScoringReplica.
-  // The folds themselves always evaluate in float (they already do),
-  // so tiers differ only in the candidate product.
-  KGE_HOT_NOALLOC
-  void ScoreAllTailsBatch(std::span<const EntityId> heads,
-                          RelationId relation, std::span<float> out,
-                          ScorePrecision precision) const override;
-  KGE_HOT_NOALLOC
-  void ScoreAllHeadsBatch(std::span<const EntityId> tails,
-                          RelationId relation, std::span<float> out,
-                          ScorePrecision precision) const override;
+  void ScoreAllBatch(QuerySide side, std::span<const EntityId> anchors,
+                     RelationId relation, std::span<float> out,
+                     ScorePrecision precision) const override;
 
   // Range-scoped pruned scans (DESIGN.md §5h): fold the fixed context
   // once, then walk only the entity-table tiles overlapping
@@ -88,35 +70,21 @@ class MultiEmbeddingModel : public KgeModel {
   // bit-identical to the exhaustive batched path, so pruning and
   // sharding never change a metric or a top-k result.
   KGE_HOT_NOALLOC
-  void CountTailsAbove(EntityId head, RelationId relation, float threshold,
-                       EntityId begin, EntityId end,
-                       std::span<const EntityId> excluded, EntityId also_skip,
-                       ScorePrecision precision, bool prune, uint64_t* better,
-                       uint64_t* equal, RankScanStats* stats) const override;
+  void CountAbove(QuerySide side, EntityId anchor, RelationId relation,
+                  float threshold, EntityId begin, EntityId end,
+                  std::span<const EntityId> excluded, EntityId also_skip,
+                  ScorePrecision precision, bool prune, uint64_t* better,
+                  uint64_t* equal, RankScanStats* stats) const override;
   KGE_HOT_NOALLOC
-  void CountHeadsAbove(EntityId tail, RelationId relation, float threshold,
-                       EntityId begin, EntityId end,
-                       std::span<const EntityId> excluded, EntityId also_skip,
-                       ScorePrecision precision, bool prune, uint64_t* better,
-                       uint64_t* equal, RankScanStats* stats) const override;
+  float ScoreOne(QuerySide side, const Triple& triple,
+                 ScorePrecision precision) const override;
   KGE_HOT_NOALLOC
-  float ScoreOneTail(EntityId head, EntityId tail, RelationId relation,
-                     ScorePrecision precision) const override;
-  KGE_HOT_NOALLOC
-  float ScoreOneHead(EntityId head, EntityId tail, RelationId relation,
-                     ScorePrecision precision) const override;
-  KGE_HOT_NOALLOC
-  void TopKTailsInRange(EntityId head, RelationId relation, EntityId begin,
-                        EntityId end, std::span<const EntityId> excluded,
-                        ScorePrecision precision, bool prune,
-                        TopKHeap<float, EntityId>* heap,
-                        RankScanStats* stats) const override;
-  KGE_HOT_NOALLOC
-  void TopKHeadsInRange(EntityId tail, RelationId relation, EntityId begin,
-                        EntityId end, std::span<const EntityId> excluded,
-                        ScorePrecision precision, bool prune,
-                        TopKHeap<float, EntityId>* heap,
-                        RankScanStats* stats) const override;
+  void TopKInRange(QuerySide side, EntityId anchor, RelationId relation,
+                   EntityId begin, EntityId end,
+                   std::span<const EntityId> excluded,
+                   ScorePrecision precision, bool prune,
+                   TopKHeap<float, EntityId>* heap,
+                   RankScanStats* stats) const override;
 
   // The trilinear family supports every tier.
   bool SupportsScorePrecision(ScorePrecision precision) const override {
@@ -158,20 +126,11 @@ class MultiEmbeddingModel : public KgeModel {
   void SetWeights(const WeightTable& weights) { weights_ = weights; }
 
  private:
-  // Shared tile walks behind the range-scoped scans (the fold — tail- or
-  // head-side — is the only thing that differs between the two sides).
+  // Folds the (anchor, relation) context of a `side` query into
+  // per-thread scratch: score(candidate) = Dot(fold, candidate row).
   KGE_HOT_NOALLOC
-  void PrunedCountScan(std::span<const float> fold, float threshold,
-                       EntityId begin, EntityId end,
-                       std::span<const EntityId> excluded, EntityId also_skip,
-                       ScorePrecision precision, bool prune, uint64_t* better,
-                       uint64_t* equal, RankScanStats* stats) const;
-  KGE_HOT_NOALLOC
-  void PrunedTopKScan(std::span<const float> fold, EntityId begin,
-                      EntityId end, std::span<const EntityId> excluded,
-                      ScorePrecision precision, bool prune,
-                      TopKHeap<float, EntityId>* heap,
-                      RankScanStats* stats) const;
+  std::span<const float> Fold(QuerySide side, EntityId anchor,
+                              RelationId relation) const;
 
   std::string name_;
   int32_t dim_;

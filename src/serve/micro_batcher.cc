@@ -62,7 +62,6 @@ void MicroBatcher::Start() {
     ws->heap.Reserve(heap_capacity);
     ws->shard_heaps.resize(size_t(num_shards));
     for (auto& heap : ws->shard_heaps) heap.Reserve(heap_capacity);
-    ws->prime_heap.Reserve(heap_capacity);
     ws->shard_stats.resize(size_t(num_shards));
     WorkerState* raw = ws.get();
     ws->thread = std::thread([this, raw] { WorkerLoop(raw); });
@@ -235,11 +234,8 @@ ScorePrecision MicroBatcher::ScoreAssembled(const ModelSnapshot& snapshot,
   if (!relation_ok) return tier;
   std::span<float> scores =
       ScratchSpan(ws->scores, size_t(batch) * size_t(num_entities));
-  if (assembled.side == QuerySide::kTail) {
-    model.ScoreAllTailsBatch(contexts, assembled.relation, scores, tier);
-  } else {
-    model.ScoreAllHeadsBatch(contexts, assembled.relation, scores, tier);
-  }
+  model.ScoreAllBatch(assembled.side, contexts, assembled.relation, scores,
+                      tier);
   return tier;
 }
 
@@ -249,92 +245,21 @@ std::span<const ScoredEntity> MicroBatcher::ReduceQuery(
       std::min(std::min(k, kServeMaxTopK), uint32_t(row.size()));
   ws->heap.ResetCapacity(int(bounded));
   ws->heap.PushScoresExcluding(row, std::span<const EntityId>());
-  const auto sorted = ws->heap.TakeSorted();
-  for (size_t i = 0; i < sorted.size(); ++i) {
-    ws->results[i] = ScoredEntity{sorted[i].entity, sorted[i].score};
-  }
-  return std::span<const ScoredEntity>(ws->results.data(), sorted.size());
+  return SortedResults(ws);
 }
 
 std::span<const ScoredEntity> MicroBatcher::ReduceQuerySharded(
     const KgeModel& model, EntityId entity, RelationId relation,
     QuerySide side, ScorePrecision tier, uint32_t k, WorkerState* ws) {
-  const EntityId num_entities = model.num_entities();
   const uint32_t bounded =
-      std::min(std::min(k, kServeMaxTopK), uint32_t(num_entities));
-  const int shards = options_.num_shards;
-  const std::span<const EntityId> no_excluded;
-  if (shards == 1) {
-    ws->heap.ResetCapacity(int(bounded));
-    if (side == QuerySide::kTail) {
-      model.TopKTailsInRange(entity, relation, 0, num_entities, no_excluded,
-                             tier, options_.prune, &ws->heap,
-                             &ws->shard_stats[0]);
-    } else {
-      model.TopKHeadsInRange(entity, relation, 0, num_entities, no_excluded,
-                             tier, options_.prune, &ws->heap,
-                             &ws->shard_stats[0]);
-    }
-  } else {
-    // Per-shard heaps can only prune against their own shard's minimum,
-    // which is useless when norms are skewed across the id range. Prime
-    // a shared floor from an exhaustive prefix scan: the k-th best of
-    // any >= k candidates lower-bounds the global k-th best, so tiles
-    // strictly below the floor are provably dead in every shard and the
-    // merge stays exact.
-    float prune_floor = 0.0f;
-    bool have_floor = false;
-    const EntityId prime_end = std::min(
-        num_entities,
-        std::max(EntityId(bounded), KgeModel::kPrunePrimePrefix));
-    if (options_.prune && num_entities > prime_end) {
-      ws->prime_heap.ResetCapacity(int(bounded));
-      if (side == QuerySide::kTail) {
-        model.TopKTailsInRange(entity, relation, 0, prime_end,
-                               no_excluded, tier, /*prune=*/false,
-                               &ws->prime_heap, &ws->shard_stats[0]);
-      } else {
-        model.TopKHeadsInRange(entity, relation, 0, prime_end,
-                               no_excluded, tier, /*prune=*/false,
-                               &ws->prime_heap, &ws->shard_stats[0]);
-      }
-      if (ws->prime_heap.full()) {
-        prune_floor = ws->prime_heap.WorstScore();
-        have_floor = true;
-      }
-    }
-    for (int s = 0; s < shards; ++s) {
-      ws->shard_heaps[size_t(s)].ResetCapacity(int(bounded));
-      if (have_floor) ws->shard_heaps[size_t(s)].SetPruneFloor(prune_floor);
-    }
-    const auto scan_shards = [&](size_t shard_begin, size_t shard_end) {
-      for (size_t s = shard_begin; s < shard_end; ++s) {
-        const EntityId begin = ShardBegin(num_entities, shards, int(s));
-        const EntityId end = ShardBegin(num_entities, shards, int(s) + 1);
-        if (side == QuerySide::kTail) {
-          model.TopKTailsInRange(entity, relation, begin, end, no_excluded,
-                                 tier, options_.prune, &ws->shard_heaps[s],
-                                 &ws->shard_stats[s]);
-        } else {
-          model.TopKHeadsInRange(entity, relation, begin, end, no_excluded,
-                                 tier, options_.prune, &ws->shard_heaps[s],
-                                 &ws->shard_stats[s]);
-        }
-      }
-    };
-    if (shard_pool_ != nullptr) {
-      shard_pool_->StageFor(0, size_t(shards), scan_shards);
-    } else {
-      scan_shards(0, size_t(shards));
-    }
-    // Merge in shard order. The (score, id) total order makes the
-    // merged set exactly the top-k of the union, so the order here is
-    // for determinism of the walk, not of the result.
-    ws->heap.ResetCapacity(int(bounded));
-    for (int s = 0; s < shards; ++s) {
-      ws->heap.MergeFrom(ws->shard_heaps[size_t(s)]);
-    }
-  }
+      std::min(std::min(k, kServeMaxTopK), uint32_t(model.num_entities()));
+  ShardedTopK(model, side, entity, relation, std::span<const EntityId>(),
+              tier, options_.prune, int(bounded), ws->shard_heaps,
+              ws->shard_stats, shard_pool_.get(), &ws->heap);
+  return SortedResults(ws);
+}
+
+std::span<const ScoredEntity> MicroBatcher::SortedResults(WorkerState* ws) {
   const auto sorted = ws->heap.TakeSorted();
   for (size_t i = 0; i < sorted.size(); ++i) {
     ws->results[i] = ScoredEntity{sorted[i].entity, sorted[i].score};

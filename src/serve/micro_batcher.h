@@ -3,7 +3,7 @@
 //
 // Concurrent in-flight queries are coalesced by (relation, side) and
 // fed through the batched full-vocabulary kernels
-// (ScoreAllTailsBatch/ScoreAllHeadsBatch -> simd::DotBatchMulti), which
+// (KgeModel::ScoreAllBatch -> simd::DotBatchMulti), which
 // stream each entity row once per batch instead of once per query.
 // Batch composition is deadline-driven: each dispatch picks the group
 // of the earliest-deadline request, so a query never waits behind an
@@ -68,9 +68,9 @@ struct BatcherOptions {
   int degrade_float32_pct = 50;
   int degrade_int8_pct = 85;
   // Entity-table shards for the top-k reduction (kge_serve --shards).
-  // With > 1 (or prune set) each query runs the range-scoped
-  // TopKTailsInRange/TopKHeadsInRange scans — per-shard heaps fanned
-  // across a shared shard pool, merged deterministically — instead of
+  // With > 1 (or prune set) each query runs ShardedTopK (eval/topk.h) —
+  // per-shard heaps fanned across a shared shard pool, merged
+  // deterministically — instead of
   // materializing a B × num_entities score matrix. Results are
   // identical at every setting ((score, id) is a total order); only the
   // peak footprint and latency change.
@@ -171,14 +171,11 @@ class MicroBatcher {
     std::vector<float> scores;
     std::vector<ScoredEntity> results;
     TopKHeap<float, EntityId> heap;
-    // Sharded-reduction scratch (one slot per shard, Reserve'd at
-    // Start): the shard fan-out writes disjoint slots, the merge reads
-    // them back in shard order.
+    // Sharded-reduction scratch for ShardedTopK (one slot per shard,
+    // Reserve'd at Start): the shard fan-out writes disjoint slots, the
+    // merge reads them back in shard order.
     std::vector<TopKHeap<float, EntityId>> shard_heaps;
     std::vector<RankScanStats> shard_stats;
-    // Primes the shared prune floor for the sharded+pruned reduction
-    // (the k best of an exhaustive prefix scan, see ReduceQuerySharded).
-    TopKHeap<float, EntityId> prime_heap;
   };
 
   void WorkerLoop(WorkerState* ws);
@@ -209,17 +206,20 @@ class MicroBatcher {
   std::span<const ScoredEntity> ReduceQuery(std::span<const float> row,
                                             uint32_t k, WorkerState* ws);
 
-  // Sharded / pruned top-k reduction of one query (DESIGN.md §5h): runs
-  // the range-scoped scans per shard — fanned across shard_pool_ when
-  // num_shards > 1 — then merges the per-shard heaps in shard order.
-  // Returns exactly what ReduceQuery over the full score row would (the
-  // (score, id) total order makes the top-k set partition-invariant);
-  // only the footprint and the skipped-tile work differ. Accumulates
-  // tile counters into ws->shard_stats.
+  // Sharded / pruned top-k reduction of one query (DESIGN.md §5h):
+  // ShardedTopK over ws->shard_heaps, fanned across shard_pool_ when
+  // num_shards > 1. Returns exactly what ReduceQuery over the full score
+  // row would (the (score, id) total order makes the top-k set
+  // partition-invariant); only the footprint and the skipped-tile work
+  // differ. Accumulates tile counters into ws->shard_stats.
   KGE_HOT_NOALLOC
   std::span<const ScoredEntity> ReduceQuerySharded(
       const KgeModel& model, EntityId entity, RelationId relation,
       QuerySide side, ScorePrecision tier, uint32_t k, WorkerState* ws);
+
+  // Copies ws->heap's sorted top-k into ws->results.
+  KGE_HOT_NOALLOC
+  static std::span<const ScoredEntity> SortedResults(WorkerState* ws);
 
   void RespondEmpty(const Slot& slot, ServeStatusCode status);
   void ReleaseSlots(const int* ids, int count);

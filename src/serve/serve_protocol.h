@@ -44,6 +44,7 @@
 #include "core/scoring_replica.h"
 #include "eval/topk.h"
 #include "kg/triple.h"
+#include "models/kge_model.h"
 #include "util/hotpath.h"
 #include "util/status.h"
 
@@ -62,8 +63,6 @@ inline constexpr size_t kRequestFrameBytes =
     kFrameHeaderBytes + kRequestBodyBytes;
 inline constexpr size_t kResponseBodyBaseBytes = 24;
 inline constexpr size_t kResponseEntryBytes = 8;
-
-enum class QuerySide : uint8_t { kTail = 0, kHead = 1 };
 
 enum class ServeStatusCode : uint8_t {
   kOk = 0,

@@ -132,13 +132,13 @@ void Trainer::ProcessRange(const std::vector<Triple>& train_triples,
     }
     const std::span<float> tail_scores =
         ScratchSpan(tail_scores_buf, tail_ids.size());
-    model_->ScoreTailBatch(positive.head, positive.relation, tail_ids,
-                           tail_scores);
+    model_->ScoreBatch(QuerySide::kTail, positive.head, positive.relation,
+                       tail_ids, tail_scores);
     const std::span<float> head_scores =
         ScratchSpan(head_scores_buf, head_ids.size());
     if (!head_ids.empty()) {
-      model_->ScoreHeadBatch(positive.tail, positive.relation, head_ids,
-                             head_scores);
+      model_->ScoreBatch(QuerySide::kHead, positive.tail, positive.relation,
+                         head_ids, head_scores);
     }
     const double positive_score = double(tail_scores[0]);
     auto negative_score = [&](size_t n) {

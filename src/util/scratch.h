@@ -1,6 +1,6 @@
 // Per-thread scratch buffers for hot-path code that must not allocate.
 //
-// The evaluator's inner loop calls ScoreAllTails/ScoreAllHeads twice per
+// The evaluator's inner loop calls ScoreAll once per side per
 // ranked triple; the trainer calls Score/AccumulateGradients per example.
 // Any `std::vector` constructed inside those calls is a heap allocation
 // per triple. The pattern below replaces them with a function-local

@@ -121,7 +121,7 @@ TEST_F(EvaluatorConcurrencyTest, RepeatedParallelRunsAreStable) {
 }
 
 // The batched GEMM ranking path regroups queries by (relation, side) and
-// scores whole batches with ScoreAllTailsBatch/ScoreAllHeadsBatch, but by
+// scores whole batches with ScoreAllBatch, but by
 // the DotBatchMulti contract every score — and therefore every rank — is
 // bit-identical to the per-query path, so the metrics must match exactly
 // for every batch size and thread count, filtered and raw.
@@ -231,18 +231,11 @@ class NaiveReferenceModel : public KgeModel {
     return score;
   }
 
-  void ScoreAllTails(EntityId head, RelationId relation,
-                     std::span<float> out) const override {
-    NaiveFold(base_->entity_store().Of(head),
-              base_->relation_store().Of(relation), /*fold_for_tail=*/true,
-              out);
-  }
-
-  void ScoreAllHeads(EntityId tail, RelationId relation,
-                     std::span<float> out) const override {
-    NaiveFold(base_->entity_store().Of(tail),
-              base_->relation_store().Of(relation), /*fold_for_tail=*/false,
-              out);
+  void ScoreAll(QuerySide side, EntityId anchor, RelationId relation,
+                std::span<float> out) const override {
+    NaiveFold(base_->entity_store().Of(anchor),
+              base_->relation_store().Of(relation),
+              /*fold_for_tail=*/side == QuerySide::kTail, out);
   }
 
   std::vector<ParameterBlock*> Blocks() override { return {}; }

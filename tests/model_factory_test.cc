@@ -22,7 +22,7 @@ TEST(ModelFactoryTest, EveryKnownNameConstructs) {
     EXPECT_GT((*model)->NumParameters(), 0) << name;
     // Exercise the interface minimally.
     std::vector<float> scores(kEntities);
-    (*model)->ScoreAllTails(0, 0, scores);
+    (*model)->ScoreAll(QuerySide::kTail, 0, 0, scores);
     EXPECT_NEAR(scores[1], (*model)->Score({0, 1, 0}), 1e-3) << name;
   }
 }

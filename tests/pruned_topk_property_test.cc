@@ -78,11 +78,11 @@ void ShardedTopK(const MultiEmbeddingModel& model, EntityId head,
   bool have_floor = false;
   if (prune && shards > 1) {
     const int64_t prime_span =
-        std::max<int64_t>(k, int64_t(KgeModel::kPrunePrimePrefix)) +
+        std::max<int64_t>(k, int64_t(kPrunePrimePrefix)) +
         int64_t(excluded.size());
     const EntityId prime_end =
         EntityId(std::min<int64_t>(int64_t(n), prime_span));
-    model.TopKTailsInRange(head, relation, 0, prime_end, excluded, precision,
+    model.TopKInRange(QuerySide::kTail, head, relation, 0, prime_end, excluded, precision,
                            /*prune=*/false, &shard_heap, stats);
     if (shard_heap.full()) {
       floor = shard_heap.WorstScore();
@@ -96,7 +96,7 @@ void ShardedTopK(const MultiEmbeddingModel& model, EntityId head,
       shard_heap.ResetCapacity(k);
       if (have_floor) shard_heap.SetPruneFloor(floor);
     }
-    model.TopKTailsInRange(head, relation, ShardBegin(n, shards, s),
+    model.TopKInRange(QuerySide::kTail, head, relation, ShardBegin(n, shards, s),
                            ShardBegin(n, shards, s + 1), excluded, precision,
                            prune, heap, stats);
     if (shards != 1) merged->MergeFrom(shard_heap);
@@ -129,7 +129,7 @@ TEST(PrunedTopKProperty, AllModelsPrecisionsAndShardCountsMatchExhaustive) {
         const EntityId head = EntityId(rng.NextBounded(kEntities));
         const RelationId relation = RelationId(rng.NextBounded(kRelations));
         exhaustive.ResetCapacity(kTopK);
-        model.TopKTailsInRange(head, relation, 0, kEntities, {}, precision,
+        model.TopKInRange(QuerySide::kTail, head, relation, 0, kEntities, {}, precision,
                                /*prune=*/false, &exhaustive, &skip_stats);
         const auto expect = exhaustive.TakeSorted();
         for (const int shards : kShardCounts) {
@@ -210,7 +210,7 @@ TEST(PrunedTopKProperty, FewerSurvivorsThanKStaysExact) {
   Heap heap(kTopK);
   RankScanStats stats;
   exhaustive.ResetCapacity(kTopK);
-  model->TopKTailsInRange(5, 2, 0, kEntities, excluded,
+  model->TopKInRange(QuerySide::kTail, 5, 2, 0, kEntities, excluded,
                           ScorePrecision::kDouble, false, &exhaustive,
                           &stats);
   const auto expect = exhaustive.TakeSorted();

@@ -170,11 +170,7 @@ std::vector<float> OracleRow(const Subject& s, QuerySide side,
   const size_t n = size_t(kEntities);
   std::vector<float> row(n);
   if (s.trilinear == nullptr) {
-    if (side == QuerySide::kTail) {
-      s.model().ScoreAllTails(anchor, relation, row);
-    } else {
-      s.model().ScoreAllHeads(anchor, relation, row);
-    }
+    s.model().ScoreAll(side, anchor, relation, row);
     return row;
   }
   const MultiEmbeddingModel& m = *s.trilinear;
@@ -377,7 +373,9 @@ TEST_F(RankingOracleTest, EvaluateMatchesOracleOnEveryPath) {
       }
     }
     // The pruned branches must actually run, or this proves nothing.
-    if (s.trilinear != nullptr) EXPECT_GT(tiles_skipped, 0u) << s.name;
+    if (s.trilinear != nullptr) {
+      EXPECT_GT(tiles_skipped, 0u) << s.name;
+    }
   }
 }
 
@@ -531,7 +529,9 @@ TEST_F(RankingOracleTest, MicroBatcherMatchesOracleOnBothReductions) {
         }
       }
     }
-    if (s.trilinear != nullptr) EXPECT_GT(tiles_skipped, 0u) << s.name;
+    if (s.trilinear != nullptr) {
+      EXPECT_GT(tiles_skipped, 0u) << s.name;
+    }
   }
 }
 

@@ -161,11 +161,11 @@ TEST(ScoringReplicaTest, ModelTiersApproximateDoubleTier) {
   std::vector<float> exact(cells), f32(cells), i8(cells);
 
   model->PrepareForScoring(ScorePrecision::kInt8);
-  model->ScoreAllTailsBatch(heads, 1, std::span<float>(exact),
+  model->ScoreAllBatch(QuerySide::kTail, heads, 1, std::span<float>(exact),
                             ScorePrecision::kDouble);
-  model->ScoreAllTailsBatch(heads, 1, std::span<float>(f32),
+  model->ScoreAllBatch(QuerySide::kTail, heads, 1, std::span<float>(f32),
                             ScorePrecision::kFloat32);
-  model->ScoreAllTailsBatch(heads, 1, std::span<float>(i8),
+  model->ScoreAllBatch(QuerySide::kTail, heads, 1, std::span<float>(i8),
                             ScorePrecision::kInt8);
 
   for (size_t c = 0; c < cells; ++c) {
@@ -178,9 +178,9 @@ TEST(ScoringReplicaTest, ModelTiersApproximateDoubleTier) {
 
   // The head-side scorer dispatches the same way.
   std::vector<float> exact_h(cells), i8_h(cells);
-  model->ScoreAllHeadsBatch(heads, 1, std::span<float>(exact_h),
+  model->ScoreAllBatch(QuerySide::kHead, heads, 1, std::span<float>(exact_h),
                             ScorePrecision::kDouble);
-  model->ScoreAllHeadsBatch(heads, 1, std::span<float>(i8_h),
+  model->ScoreAllBatch(QuerySide::kHead, heads, 1, std::span<float>(i8_h),
                             ScorePrecision::kInt8);
   for (size_t c = 0; c < cells; ++c) {
     EXPECT_NEAR(double(i8_h[c]), double(exact_h[c]), 0.05) << "cell=" << c;
@@ -194,7 +194,7 @@ TEST(ScoringReplicaTest, PrepareForScoringTracksTrainingUpdates) {
   std::vector<float> before(20), after(20), exact(20);
 
   model->PrepareForScoring(ScorePrecision::kInt8);
-  model->ScoreAllTailsBatch(heads, 0, std::span<float>(before),
+  model->ScoreAllBatch(QuerySide::kTail, heads, 0, std::span<float>(before),
                             ScorePrecision::kInt8);
 
   // Mutate the entity table the way an optimizer step would.
@@ -209,9 +209,9 @@ TEST(ScoringReplicaTest, PrepareForScoringTracksTrainingUpdates) {
   // negated scores. Tracking `exact` after the refresh therefore fails
   // unless PrepareForScoring actually requantized.
   model->PrepareForScoring(ScorePrecision::kInt8);
-  model->ScoreAllTailsBatch(heads, 0, std::span<float>(after),
+  model->ScoreAllBatch(QuerySide::kTail, heads, 0, std::span<float>(after),
                             ScorePrecision::kInt8);
-  model->ScoreAllTailsBatch(heads, 0, std::span<float>(exact),
+  model->ScoreAllBatch(QuerySide::kTail, heads, 0, std::span<float>(exact),
                             ScorePrecision::kDouble);
   for (size_t e = 0; e < 20; ++e) {
     EXPECT_NEAR(double(after[e]), double(exact[e]), 0.05) << "e=" << e;

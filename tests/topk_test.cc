@@ -19,16 +19,15 @@ class DescendingModel : public KgeModel {
   int32_t num_entities() const override { return kEntities; }
   int32_t num_relations() const override { return kRelations; }
   double Score(const Triple& t) const override { return -double(t.tail); }
-  void ScoreAllTails(EntityId head, RelationId relation,
-                     std::span<float> out) const override {
+  void ScoreAll(QuerySide side, EntityId anchor, RelationId relation,
+                std::span<float> out) const override {
+    if (side == QuerySide::kHead) {
+      for (EntityId h = 0; h < kEntities; ++h)
+        out[size_t(h)] = float(-h);
+      return;
+    }
     for (EntityId t = 0; t < kEntities; ++t)
-      out[size_t(t)] = float(Score({head, t, relation}));
-  }
-  void ScoreAllHeads(EntityId tail, RelationId relation,
-                     std::span<float> out) const override {
-    for (EntityId h = 0; h < kEntities; ++h)
-      out[size_t(h)] = float(-h);
-    (void)tail, (void)relation;
+      out[size_t(t)] = float(Score({anchor, t, relation}));
   }
   std::vector<ParameterBlock*> Blocks() override { return {}; }
   void AccumulateGradients(const Triple&, float, GradientBuffer*) override {}
@@ -46,10 +45,14 @@ class GroupedTieModel : public DescendingModel {
   double Score(const Triple& t) const override {
     return -double(t.tail / 4);
   }
-  void ScoreAllTails(EntityId head, RelationId relation,
-                     std::span<float> out) const override {
+  void ScoreAll(QuerySide side, EntityId anchor, RelationId relation,
+                std::span<float> out) const override {
+    if (side == QuerySide::kHead) {
+      DescendingModel::ScoreAll(side, anchor, relation, out);
+      return;
+    }
     for (EntityId t = 0; t < kEntities; ++t)
-      out[size_t(t)] = float(Score({head, t, relation}));
+      out[size_t(t)] = float(Score({anchor, t, relation}));
   }
 };
 

@@ -190,10 +190,12 @@ int Run(int argc, char** argv) {
     std::string tsv = "head\trelation\ttail\ttail_rank\thead_rank\n";
     std::vector<float> scores(size_t(data.num_entities()));
     for (const Triple& t : eval_triples) {
-      (*model)->ScoreAllTails(t.head, t.relation, scores);
-      const double tail_rank = evaluator.RankTail(t, scores, true);
-      (*model)->ScoreAllHeads(t.tail, t.relation, scores);
-      const double head_rank = evaluator.RankHead(t, scores, true);
+      (*model)->ScoreAll(QuerySide::kTail, t.head, t.relation, scores);
+      const double tail_rank =
+          evaluator.Rank(QuerySide::kTail, t, scores, true);
+      (*model)->ScoreAll(QuerySide::kHead, t.tail, t.relation, scores);
+      const double head_rank =
+          evaluator.Rank(QuerySide::kHead, t, scores, true);
       tsv += StrFormat("%s\t%s\t%s\t%.1f\t%.1f\n",
                        data.entities.NameOf(t.head).c_str(),
                        data.relations.NameOf(t.relation).c_str(),
