@@ -99,14 +99,15 @@ MappedCheckpoint::~MappedCheckpoint() {
   if (base_ != nullptr) ::munmap(base_, length_);
 }
 
-Status MappedCheckpoint::LoadInto(KgeModel* model) {
+Status MappedCheckpoint::Verify() {
+  if (verified_) return Status::Ok();
   KGE_RETURN_IF_ERROR(KGE_FAILPOINT("serve.load.verify"));
   const uint8_t* bytes = static_cast<const uint8_t*>(base_);
   if (length_ < 4 * sizeof(uint32_t)) {
     return Malformed(path_, "truncated checkpoint");
   }
   // Whole-file CRC first: nothing in a torn file is trusted, not even
-  // the header fields the shape checks below would read.
+  // the header fields LoadInto's shape checks read.
   const size_t crc_offset = length_ - sizeof(uint32_t);
   uint32_t stored_crc = 0;
   std::memcpy(&stored_crc, bytes + crc_offset, sizeof(uint32_t));
@@ -114,7 +115,14 @@ Status MappedCheckpoint::LoadInto(KgeModel* model) {
     return Status::IoError(path_ +
                            ": checkpoint CRC mismatch (torn or corrupt file)");
   }
+  verified_ = true;
+  return Status::Ok();
+}
 
+Status MappedCheckpoint::LoadInto(KgeModel* model) {
+  KGE_RETURN_IF_ERROR(Verify());
+  const uint8_t* bytes = static_cast<const uint8_t*>(base_);
+  const size_t crc_offset = length_ - sizeof(uint32_t);
   ByteCursor cursor(bytes, crc_offset);
   uint32_t magic = 0;
   uint32_t version = 0;

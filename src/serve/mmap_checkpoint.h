@@ -36,13 +36,20 @@ class MappedCheckpoint {
   MappedCheckpoint(const MappedCheckpoint&) = delete;
   MappedCheckpoint& operator=(const MappedCheckpoint&) = delete;
 
-  // Verifies the whole mapping (header + CRC32C footer) and points
-  // `model`'s parameter blocks at the mapped payloads (BorrowStorage)
-  // where aligned, copying otherwise. On error the model may hold a
-  // mix of old and new block contents and must be discarded — the
-  // serving layer always loads into a freshly constructed model and
-  // publishes only on Ok. The mapping must outlive the model.
-  // Failpoint: "serve.load.verify".
+  // Checks the trailing whole-file CRC32C — one pass over the mapping.
+  // The verdict is remembered: once Ok, later calls (including the one
+  // inside LoadInto) return at once, so a file is CRC-checked once per
+  // mapping. The serving loader calls this before it builds a model, so
+  // a corrupt file costs no model construction. Failpoint:
+  // "serve.load.verify" (fires only while the mapping is unverified).
+  Status Verify();
+
+  // Verify()s the mapping, validates the header against `model`, and
+  // points `model`'s parameter blocks at the mapped payloads
+  // (BorrowStorage) where aligned, copying otherwise. On error the model
+  // may hold a mix of old and new block contents and must be discarded
+  // — the serving layer always loads into a freshly constructed model
+  // and publishes only on Ok. The mapping must outlive the model.
   Status LoadInto(KgeModel* model);
 
   const std::string& path() const { return path_; }
@@ -55,6 +62,7 @@ class MappedCheckpoint {
   void* base_ = nullptr;
   size_t length_ = 0;
   std::string path_;
+  bool verified_ = false;
   int borrowed_blocks_ = 0;
   int copied_blocks_ = 0;
 };

@@ -21,6 +21,8 @@ Result<std::shared_ptr<ModelSnapshot>> LoadServingSnapshot(
   Result<std::unique_ptr<MappedCheckpoint>> mapping =
       MappedCheckpoint::Open(path);
   if (!mapping.ok()) return mapping.status();
+  // The one CRC pass of this load, before any model is built.
+  KGE_RETURN_IF_ERROR((*mapping)->Verify());
   Result<std::unique_ptr<KgeModel>> model = factory();
   if (!model.ok()) return model.status();
   KGE_RETURN_IF_ERROR((*mapping)->LoadInto(model->get()));
@@ -75,11 +77,10 @@ std::string CheckpointWatcher::ResolveLatestTarget() const {
 }
 
 Status CheckpointWatcher::TryAdopt(const std::string& path) {
-  // Cheap pre-pass: reject torn files via the streaming verifier before
-  // building a model for them. LoadServingSnapshot re-validates the
-  // mapped bytes, so a file that changes between the two checks still
-  // cannot be served.
-  KGE_RETURN_IF_ERROR(VerifyCheckpoint(path));
+  // LoadServingSnapshot CRC-checks the mapped bytes before it builds a
+  // model, so a torn file is rejected cheaply — and because the check
+  // runs on the very bytes that get served, a file that changes on disk
+  // mid-load cannot be served either.
   Result<std::shared_ptr<ModelSnapshot>> snapshot =
       LoadServingSnapshot(path, factory_, options_.prepare_tiers,
                           options_.prepare_bounds);

@@ -10,7 +10,7 @@
 //
 // CheckpointWatcher is the hot-swap driver: a thread polls the
 // training-side `LATEST` pointer, CRC-verifies any new target
-// (VerifyCheckpoint) before building a snapshot from it, and on any
+// (MappedCheckpoint::Verify, before a model is built for it), and on any
 // failure renames the bad file to `<name>.quarantine` and keeps serving
 // the last good snapshot. A corrupt checkpoint is therefore (a) never
 // scored from and (b) taken out of the rotation so the next poll does
