@@ -14,6 +14,7 @@
 #include "optim/optimizer.h"
 #include "train/train_checkpoint.h"
 #include "util/io.h"
+#include "test_temp_dir.h"
 
 namespace kge {
 namespace {
@@ -23,7 +24,7 @@ constexpr int32_t kRelations = 2;
 constexpr int32_t kBudget = 8;
 
 std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
+  return TestTempPath(name);
 }
 
 std::string SaveModelBytes() {

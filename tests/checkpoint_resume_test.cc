@@ -26,6 +26,7 @@
 #include "util/failpoint.h"
 #include "util/io.h"
 #include "util/string_utils.h"
+#include "test_temp_dir.h"
 
 namespace kge {
 namespace {
@@ -68,7 +69,7 @@ void ExpectBlocksBitIdentical(KgeModel* a, KgeModel* b) {
 
 // A fresh per-test scratch directory (recursive remove, then recreate).
 std::string FreshDir(const std::string& name) {
-  const std::string dir = testing::TempDir() + "/" + name;
+  const std::string dir = TestTempPath(name);
   const std::string cmd = "rm -rf '" + dir + "'";
   EXPECT_EQ(std::system(cmd.c_str()), 0);
   EXPECT_TRUE(CreateDirectories(dir).ok());

@@ -9,6 +9,7 @@
 #include "models/model_factory.h"
 #include "util/failpoint.h"
 #include "util/io.h"
+#include "test_temp_dir.h"
 
 namespace kge {
 namespace {
@@ -18,7 +19,7 @@ constexpr int32_t kRelations = 3;
 constexpr int32_t kBudget = 24;
 
 std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
+  return TestTempPath(name);
 }
 
 TEST(CheckpointTest, RoundTripEveryRegisteredModel) {

@@ -5,12 +5,13 @@
 #include <cstdio>
 
 #include "util/io.h"
+#include "test_temp_dir.h"
 
 namespace kge {
 namespace {
 
 std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
+  return TestTempPath(name);
 }
 
 TEST(DatasetTest, ReadTripleFileHeadRelationTail) {
@@ -99,7 +100,7 @@ TEST(DatasetTest, SaveLoadDirectoryRoundTrip) {
   dataset.valid = {{a, c, r}};
   dataset.test = {{b, a, r}};
 
-  const std::string dir = testing::TempDir();
+  const std::string dir = TestTempDir();
   ASSERT_TRUE(SaveDatasetToDirectory(
                   dir, TripleFileFormat::kHeadRelationTail, dataset)
                   .ok());

@@ -6,6 +6,7 @@
 
 #include "math/vec_ops.h"
 #include "util/io.h"
+#include "test_temp_dir.h"
 
 namespace kge {
 namespace {
@@ -50,7 +51,7 @@ TEST(EmbeddingStoreTest, NormalizeVectorsOfNormalizesEachVectorSeparately) {
 }
 
 TEST(EmbeddingStoreTest, SaveLoadRoundTrip) {
-  const std::string path = testing::TempDir() + "/embeddings.bin";
+  const std::string path = TestTempPath("embeddings.bin");
   EmbeddingStore store("e", 5, 2, 6);
   Rng rng(3);
   store.InitXavier(&rng);
@@ -73,7 +74,7 @@ TEST(EmbeddingStoreTest, SaveLoadRoundTrip) {
 }
 
 TEST(EmbeddingStoreTest, LoadRejectsShapeMismatch) {
-  const std::string path = testing::TempDir() + "/embeddings_bad.bin";
+  const std::string path = TestTempPath("embeddings_bad.bin");
   EmbeddingStore store("e", 5, 2, 6);
   {
     BinaryWriter writer;

@@ -6,12 +6,13 @@
 
 #include "util/io.h"
 #include "util/string_utils.h"
+#include "test_temp_dir.h"
 
 namespace kge {
 namespace {
 
 std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
+  return TestTempPath(name);
 }
 
 TEST(ExportTest, WritesOneRowPerIdWithAllComponents) {

@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "kge.h"
+#include "test_temp_dir.h"
 
 namespace kge {
 namespace {
@@ -178,7 +179,7 @@ TEST(EndToEndWordNetTest, FullStackOnWordNetLikeData) {
 
 TEST(EndToEndCheckpointTest, SaveLoadPreservesScores) {
   auto model = MakeComplEx(30, 4, 8, 11);
-  const std::string path = testing::TempDir() + "/model.ckpt";
+  const std::string path = TestTempPath("model.ckpt");
   {
     BinaryWriter writer;
     ASSERT_TRUE(writer.Open(path).ok());

@@ -5,11 +5,13 @@
 #include <cstdio>
 #include <string>
 
+#include "test_temp_dir.h"
+
 namespace kge {
 namespace {
 
 std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
+  return TestTempPath(name);
 }
 
 TEST(FileIoTest, WriteAndReadRoundTrip) {

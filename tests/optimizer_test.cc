@@ -11,6 +11,7 @@
 #include "util/io.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
+#include "test_temp_dir.h"
 
 namespace kge {
 namespace {
@@ -233,7 +234,7 @@ TEST(OptimizerTest, StateRoundTripContinuesBitIdentically) {
   constexpr int32_t kDim = 4;
   constexpr int kTotalSteps = 12;
   constexpr int kSplitStep = 5;
-  const std::string path = testing::TempDir() + "/opt_state.bin";
+  const std::string path = TestTempPath("opt_state.bin");
 
   auto run_steps = [&](Optimizer* optimizer, GradientBuffer* grads,
                        Rng* rng, int steps) {
@@ -299,7 +300,7 @@ TEST(OptimizerTest, StateRoundTripContinuesBitIdentically) {
 
 TEST(OptimizerTest, LoadStateRejectsWrongOptimizerKind) {
   ParameterBlock block("x", 2, 2);
-  const std::string path = testing::TempDir() + "/opt_kind.bin";
+  const std::string path = TestTempPath("opt_kind.bin");
   auto adam = MakeOptimizer("adam", {&block}, 0.1).value();
   {
     BinaryWriter writer;

@@ -26,6 +26,7 @@
 #include "serve/snapshot.h"
 #include "util/failpoint.h"
 #include "util/io.h"
+#include "test_temp_dir.h"
 
 namespace kge {
 namespace {
@@ -43,7 +44,7 @@ ModelFactory ServingFactory() {
 }
 
 std::string TempDirFor(const std::string& name) {
-  const std::string dir = testing::TempDir() + "/" + name;
+  const std::string dir = TestTempPath(name);
   ::mkdir(dir.c_str(), 0755);
   std::remove((dir + "/LATEST").c_str());
   for (int i = 0; i <= 5; ++i) {

@@ -17,6 +17,7 @@
 #include "serve/snapshot.h"
 #include "train/train_checkpoint.h"
 #include "util/io.h"
+#include "test_temp_dir.h"
 
 namespace kge {
 namespace {
@@ -26,7 +27,7 @@ constexpr int32_t kRelations = 3;
 constexpr int32_t kBudget = 8;
 
 std::string TempDirFor(const std::string& name) {
-  const std::string dir = testing::TempDir() + "/" + name;
+  const std::string dir = TestTempPath(name);
   ::mkdir(dir.c_str(), 0755);
   // TempDir persists across runs; scrub every file this suite creates.
   std::remove((dir + "/LATEST").c_str());
@@ -70,7 +71,7 @@ void ExpectModelsEqual(const KgeModel& a, const KgeModel& b) {
 
 TEST(MappedCheckpointTest, MatchesStreamingLoaderBitForBit) {
   const std::string path =
-      SaveCheckpointWithSeed(testing::TempDir() + "/mmap_eq.kge2", 7);
+      SaveCheckpointWithSeed(TestTempPath("mmap_eq.kge2"), 7);
 
   auto streamed = MakeFreshModel(99);
   ASSERT_TRUE(LoadModelCheckpoint(streamed->get(), path).ok());
@@ -88,7 +89,7 @@ TEST(MappedCheckpointTest, MatchesStreamingLoaderBitForBit) {
 }
 
 TEST(MappedCheckpointTest, LoadsTrainingStateCheckpoints) {
-  const std::string path = testing::TempDir() + "/mmap_train.kge2";
+  const std::string path = TestTempPath("mmap_train.kge2");
   auto model = MakeFreshModel(3);
   auto optimizer = MakeOptimizer("adam", (*model)->Blocks(), 1e-3);
   ASSERT_TRUE(optimizer.ok());
@@ -109,7 +110,7 @@ TEST(MappedCheckpointTest, LoadsTrainingStateCheckpoints) {
 
 TEST(MappedCheckpointTest, RejectsCorruptionAnywhere) {
   const std::string path =
-      SaveCheckpointWithSeed(testing::TempDir() + "/mmap_corrupt.kge2", 5);
+      SaveCheckpointWithSeed(TestTempPath("mmap_corrupt.kge2"), 5);
   Result<std::string> bytes = ReadFileToString(path);
   ASSERT_TRUE(bytes.ok());
 
@@ -119,7 +120,7 @@ TEST(MappedCheckpointTest, RejectsCorruptionAnywhere) {
         bytes->size() - 2}) {
     std::string mutated = *bytes;
     mutated[offset] = char(mutated[offset] ^ 0x20);
-    const std::string probe = testing::TempDir() + "/mmap_probe.kge2";
+    const std::string probe = TestTempPath("mmap_probe.kge2");
     ASSERT_TRUE(WriteStringToFile(probe, mutated).ok());
     auto model = MakeFreshModel(1);
     Result<std::unique_ptr<MappedCheckpoint>> mapping =
@@ -133,7 +134,7 @@ TEST(MappedCheckpointTest, RejectsCorruptionAnywhere) {
   // Truncations, including an empty file (Open itself must reject it).
   for (const size_t keep : {size_t(0), size_t(3), size_t(20),
                             bytes->size() - 1}) {
-    const std::string probe = testing::TempDir() + "/mmap_trunc.kge2";
+    const std::string probe = TestTempPath("mmap_trunc.kge2");
     ASSERT_TRUE(WriteStringToFile(probe, bytes->substr(0, keep)).ok());
     auto model = MakeFreshModel(1);
     Result<std::unique_ptr<MappedCheckpoint>> mapping =
@@ -149,7 +150,7 @@ TEST(MappedCheckpointTest, RejectsCorruptionAnywhere) {
 
 TEST(MappedCheckpointTest, RejectsWrongModelAndShape) {
   const std::string path =
-      SaveCheckpointWithSeed(testing::TempDir() + "/mmap_shape.kge2", 5);
+      SaveCheckpointWithSeed(TestTempPath("mmap_shape.kge2"), 5);
   auto other = MakeModelByName("complex", kEntities, kRelations, kBudget, 5);
   Result<std::unique_ptr<MappedCheckpoint>> mapping =
       MappedCheckpoint::Open(path);
@@ -200,7 +201,7 @@ TEST(SnapshotRegistryTest, PublishStampsMonotoneVersions) {
 
 TEST(LoadServingSnapshotTest, BuildsScoringReadySnapshot) {
   const std::string path =
-      SaveCheckpointWithSeed(testing::TempDir() + "/snap_build.kge2", 21);
+      SaveCheckpointWithSeed(TestTempPath("snap_build.kge2"), 21);
   Result<std::shared_ptr<ModelSnapshot>> snapshot = LoadServingSnapshot(
       path, FactoryWithSeed(0),
       {ScorePrecision::kDouble, ScorePrecision::kFloat32});
