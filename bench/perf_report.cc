@@ -453,7 +453,7 @@ struct EvalBatchReport {
   int64_t queries = 0;
   std::vector<EvalBatchRow> rows;
   // Metric-equality canary: full filtered Evaluate on the WN18-like KG,
-  // per-query path vs batched path.
+  // one query per scoring call (B = 1) vs 32 per call.
   double mrr_per_query = 0.0;
   double mrr_batched = 0.0;
   bool bit_identical = false;

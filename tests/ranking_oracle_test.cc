@@ -239,8 +239,9 @@ std::vector<ScoredEntity> OracleTopK(const std::vector<float>& row, int k,
     if (!Contains(excluded, e)) ids.push_back(e);
   }
   std::sort(ids.begin(), ids.end(), [&](EntityId a, EntityId b) {
-    if (row[size_t(a)] != row[size_t(b)]) return row[size_t(a)] > row[size_t(b)];
-    return a < b;
+    const float sa = row[size_t(a)];
+    const float sb = row[size_t(b)];
+    return sa != sb ? sa > sb : a < b;
   });
   ids.resize(std::min(ids.size(), size_t(std::max(k, 0))));
   std::vector<ScoredEntity> out;

@@ -7,7 +7,7 @@
 // the training run, exactly as for kge_eval — shape mismatches are
 // rejected at load time.
 //
-//   kge_serve --model=complex --dim-budget=200 \
+//   kge_serve --model=complex --dim-budget=200
 //       --checkpoint-dir=/tmp/run --watch-latest --port=7071
 //
 // Robustness properties (exercised by tests/serve_*_test.cc and
