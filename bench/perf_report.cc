@@ -867,10 +867,10 @@ ScaleTierRow BenchScaleTier(const PerfConfig& config, int64_t entities,
     const RelationId rel = RelationId(rng.NextBounded(8));
     EntityId best = 0;
     float best_score =
-        model->ScoreOne(QuerySide::kTail, {head, 0, rel}, precision);
+        ScoreOne(*model, QuerySide::kTail, {head, 0, rel}, precision);
     for (int32_t t = 1; t < sample; ++t) {
       const float s =
-          model->ScoreOne(QuerySide::kTail, {head, t, rel}, precision);
+          ScoreOne(*model, QuerySide::kTail, {head, t, rel}, precision);
       if (s > best_score) {
         best_score = s;
         best = t;
@@ -908,10 +908,10 @@ ScaleTierRow BenchScaleTier(const PerfConfig& config, int64_t entities,
     for (int64_t q = 0; q < num_queries; ++q) {
       better[size_t(q)] = 0;
       equal[size_t(q)] = 0;
-      model->CountAbove(QuerySide::kTail, heads[size_t(q)], rels[size_t(q)],
-                        thresholds[size_t(q)], 0, EntityId(n), no_excluded,
-                        truths[size_t(q)], precision, prune,
-                        &better[size_t(q)], &equal[size_t(q)], stats);
+      CountAbove(*model, QuerySide::kTail, heads[size_t(q)], rels[size_t(q)],
+                 thresholds[size_t(q)], 0, EntityId(n), no_excluded,
+                 truths[size_t(q)], precision, prune, &better[size_t(q)],
+                 &equal[size_t(q)], stats);
     }
   };
   RankScanStats warm_stats;
@@ -975,9 +975,8 @@ ScaleTierRow BenchScaleTier(const PerfConfig& config, int64_t entities,
   const auto topk_pass = [&](bool prune, TopKHeap<float, EntityId>* heap,
                              int64_t q, RankScanStats* stats) {
     heap->ResetCapacity(int(k));
-    model->TopKInRange(QuerySide::kTail, heads[size_t(q)], rels[size_t(q)],
-                       0, EntityId(n), no_excluded, precision, prune, heap,
-                       stats);
+    TopKInRange(*model, QuerySide::kTail, heads[size_t(q)], rels[size_t(q)],
+                0, EntityId(n), no_excluded, precision, prune, heap, stats);
   };
   // The sharded pass is the serving reduction itself: ShardedTopK with a
   // primed prune floor, shards scanned on the calling thread.

@@ -93,6 +93,19 @@ std::span<const float> ScoringReplica::TileBounds(
   return precision == ScorePrecision::kInt8 ? int8_bounds_ : master_bounds_;
 }
 
+CandidateTable ScoringReplica::Table(ScorePrecision precision) const {
+  CandidateTable table;
+  table.width = size_t(master_->row_dim());
+  if (precision == ScorePrecision::kInt8) {
+    table.int8_rows = Int8Rows();
+    table.int8_scales = Int8Scales();
+  } else {
+    table.rows = master_->Flat();
+  }
+  if (BoundsFresh(precision)) table.tile_bounds = TileBounds(precision);
+  return table;
+}
+
 std::span<const std::int8_t> ScoringReplica::Int8Rows() const {
   KGE_DCHECK(IsFresh(ScorePrecision::kInt8));
   return int8_rows_;

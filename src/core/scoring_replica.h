@@ -30,6 +30,7 @@
 #ifndef KGE_CORE_SCORING_REPLICA_H_
 #define KGE_CORE_SCORING_REPLICA_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string_view>
@@ -51,6 +52,20 @@ const char* ScorePrecisionName(ScorePrecision precision);
 // Parses a --eval-precision value ("double" | "float32" | "int8") into
 // `*out`; returns false (leaving `*out` untouched) on anything else.
 bool ParseScorePrecision(std::string_view text, ScorePrecision* out);
+
+// The candidate rows a folded query is scored against at one precision
+// tier (KgeModel::CandidateTableAt): rows of `width` floats for kDouble
+// and kFloat32, or the int8 replica's codes plus one dequantization
+// scale per row for kInt8. width == 0 means the model cannot fold.
+struct CandidateTable {
+  size_t width = 0;
+  std::span<const float> rows;
+  std::span<const std::int8_t> int8_rows;
+  std::span<const float> int8_scales;
+  // TileBounds(precision) while they are fresh against the master;
+  // empty otherwise, and then the pruned scans never skip.
+  std::span<const float> tile_bounds;
+};
 
 class ScoringReplica {
  public:
@@ -96,6 +111,12 @@ class ScoringReplica {
   // the master-table bounds). Bounds must be fresh.
   KGE_HOT_NOALLOC
   std::span<const float> TileBounds(ScorePrecision precision) const;
+
+  // The master block as the candidate table of `precision`: the master
+  // rows (kDouble, kFloat32) or the int8 table (which must be fresh),
+  // plus the tile bounds when BoundsFresh(precision).
+  KGE_HOT_NOALLOC
+  CandidateTable Table(ScorePrecision precision) const;
 
   // Master generation the int8 table was built at; 0 = never built.
   uint64_t built_generation() const { return int8_generation_; }

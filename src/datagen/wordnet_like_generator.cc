@@ -51,8 +51,18 @@ bool ParseWordNetScale(std::string_view text, int32_t* num_entities) {
   return true;
 }
 
+Result<VocabularySizes> WordNetLikeVocabularySizes(int32_t num_entities) {
+  if (num_entities < kWordNetMinEntities) {
+    return Status::InvalidArgument(
+        StrFormat("the WordNet-like generator needs at least %d entities "
+                  "(got %d)",
+                  kWordNetMinEntities, num_entities));
+  }
+  return VocabularySizes{num_entities, int32_t(kNumWordNetRelations)};
+}
+
 Dataset GenerateWordNetLike(const WordNetLikeOptions& options) {
-  KGE_CHECK(options.num_entities >= 100);
+  KGE_CHECK(options.num_entities >= kWordNetMinEntities);
   const int32_t n = options.num_entities;
   Rng rng(options.seed);
 

@@ -24,6 +24,7 @@
 
 #include "datagen/split.h"
 #include "kg/dataset.h"
+#include "util/status.h"
 
 namespace kge {
 
@@ -82,9 +83,24 @@ inline constexpr int32_t kWordNetScaleXl = 1000000;
 // entity count. Returns false on an unknown name.
 bool ParseWordNetScale(std::string_view text, int32_t* num_entities);
 
+// The smallest num_entities the generator accepts.
+inline constexpr int32_t kWordNetMinEntities = 100;
+
 // Generates the dataset (vocabularies + split triples). Deterministic in
-// `options.seed`.
+// `options.seed`. Requires num_entities >= kWordNetMinEntities.
 Dataset GenerateWordNetLike(const WordNetLikeOptions& options);
+
+struct VocabularySizes {
+  int32_t num_entities = 0;
+  int32_t num_relations = 0;
+};
+
+// The vocabulary sizes GenerateWordNetLike builds for `num_entities`
+// synsets — num_entities entities and kNumWordNetRelations relations,
+// whatever the seed or split options — without generating a triple.
+// InvalidArgument below kWordNetMinEntities, where the generator itself
+// refuses to run.
+Result<VocabularySizes> WordNetLikeVocabularySizes(int32_t num_entities);
 
 }  // namespace kge
 

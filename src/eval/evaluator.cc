@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "models/range_scan.h"
 #include "util/check.h"
 #include "util/scratch.h"
 
@@ -191,14 +192,14 @@ EvalResult Evaluator::Evaluate(const KgeModel& model,
         const Triple& triple = (*eval_triples)[task / (2 * shards)];
         const QuerySide side = kSides[(task / shards) % 2];
         const int s = int(task % shards);
-        model.CountAbove(side, AnchorOf(side, triple), triple.relation,
-                         model.ScoreOne(side, triple, precision),
-                         ShardBegin(num_entities, num_shards, s),
-                         ShardBegin(num_entities, num_shards, s + 1),
-                         options.filtered ? KnownFor(*filter_, side, triple)
-                                          : std::span<const EntityId>(),
-                         AnswerOf(side, triple), precision, options.prune,
-                         &better[task], &equal[task], &task_stats[task]);
+        CountAbove(model, side, AnchorOf(side, triple), triple.relation,
+                   ScoreOne(model, side, triple, precision),
+                   ShardBegin(num_entities, num_shards, s),
+                   ShardBegin(num_entities, num_shards, s + 1),
+                   options.filtered ? KnownFor(*filter_, side, triple)
+                                    : std::span<const EntityId>(),
+                   AnswerOf(side, triple), precision, options.prune,
+                   &better[task], &equal[task], &task_stats[task]);
       }
     });
     for (size_t i = 0; i < num_triples; ++i) {

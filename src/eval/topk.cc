@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "models/range_scan.h"
 #include "util/check.h"
 
 namespace kge {
@@ -18,8 +19,8 @@ void ShardedTopK(const KgeModel& model, QuerySide side, EntityId anchor,
   const EntityId num_entities = model.num_entities();
   merged->ResetCapacity(k);
   if (shards == 1) {
-    model.TopKInRange(side, anchor, relation, 0, num_entities, excluded,
-                      precision, prune, merged, &shard_stats[0]);
+    TopKInRange(model, side, anchor, relation, 0, num_entities, excluded,
+                precision, prune, merged, &shard_stats[0]);
     return;
   }
   float prune_floor = 0.0f;
@@ -28,9 +29,9 @@ void ShardedTopK(const KgeModel& model, QuerySide side, EntityId anchor,
       std::max<int64_t>(k, int64_t(kPrunePrimePrefix)) +
       int64_t(excluded.size());
   if (prune && k > 0 && prime_end < int64_t(num_entities)) {
-    model.TopKInRange(side, anchor, relation, 0, EntityId(prime_end),
-                      excluded, precision, /*prune=*/false, merged,
-                      &shard_stats[0]);
+    TopKInRange(model, side, anchor, relation, 0, EntityId(prime_end),
+                excluded, precision, /*prune=*/false, merged,
+                &shard_stats[0]);
     if (merged->full()) {
       prune_floor = merged->WorstScore();
       have_floor = true;
@@ -43,11 +44,11 @@ void ShardedTopK(const KgeModel& model, QuerySide side, EntityId anchor,
   }
   const auto scan_shards = [&](size_t first, size_t last) {
     for (size_t s = first; s < last; ++s) {
-      model.TopKInRange(side, anchor, relation,
-                        ShardBegin(num_entities, int(shards), int(s)),
-                        ShardBegin(num_entities, int(shards), int(s) + 1),
-                        excluded, precision, prune, &shard_heaps[s],
-                        &shard_stats[s]);
+      TopKInRange(model, side, anchor, relation,
+                  ShardBegin(num_entities, int(shards), int(s)),
+                  ShardBegin(num_entities, int(shards), int(s) + 1),
+                  excluded, precision, prune, &shard_heaps[s],
+                  &shard_stats[s]);
     }
   };
   if (pool != nullptr) {

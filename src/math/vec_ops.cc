@@ -40,32 +40,6 @@ void DotBatchIndexed(std::span<const float> v, std::span<const float> rows,
                         v.size(), out.data());
 }
 
-void DotBatchMultiF32(std::span<const float> queries, size_t num_queries,
-                      std::span<const float> rows, std::span<float> out) {
-  KGE_DCHECK(num_queries > 0);
-  KGE_DCHECK(queries.size() % num_queries == 0);
-  const size_t n = queries.size() / num_queries;
-  KGE_DCHECK(out.size() % num_queries == 0);
-  const size_t num_rows = out.size() / num_queries;
-  KGE_DCHECK(rows.size() == num_rows * n);
-  simd::DotBatchMultiF32(queries.data(), num_queries, rows.data(), num_rows,
-                         n, out.data());
-}
-
-void DotBatchMultiI8(std::span<const float> queries, size_t num_queries,
-                     std::span<const int8_t> rows8,
-                     std::span<const float> scales, std::span<float> out) {
-  KGE_DCHECK(num_queries > 0);
-  KGE_DCHECK(queries.size() % num_queries == 0);
-  const size_t n = queries.size() / num_queries;
-  KGE_DCHECK(out.size() % num_queries == 0);
-  const size_t num_rows = out.size() / num_queries;
-  KGE_DCHECK(rows8.size() == num_rows * n);
-  KGE_DCHECK(scales.size() == num_rows);
-  simd::DotBatchMultiI8(queries.data(), num_queries, rows8.data(),
-                        scales.data(), num_rows, n, out.data());
-}
-
 double TrilinearDot(std::span<const float> a, std::span<const float> b,
                     std::span<const float> c) {
   KGE_DCHECK(a.size() == b.size() && b.size() == c.size());

@@ -44,24 +44,6 @@ KGE_HOT_NOALLOC
 void DotBatchIndexed(std::span<const float> v, std::span<const float> rows,
                      std::span<const int32_t> ids, std::span<float> out);
 
-// DotBatchMulti's float32 scoring tier: identical shapes, but every cell
-// accumulates in float through the 8-lane scheme of simd.h's
-// precision-tier contract (bit-identical across ISAs, ~1e-7 relative to
-// the double cells). Used by reduced-precision full-vocab ranking.
-KGE_HOT_NOALLOC
-void DotBatchMultiF32(std::span<const float> queries, size_t num_queries,
-                      std::span<const float> rows, std::span<float> out);
-
-// The int8 scoring tier: `rows8` is a row-major R × n per-row
-// absmax-quantized table with dequantization factors `scales` (one per
-// row, built by a ScoringReplica); out[q*R + r] = scales[r] ·
-// F32Dot(queries[q], float(rows8[r])). Streams 1 byte per candidate
-// element instead of 4.
-KGE_HOT_NOALLOC
-void DotBatchMultiI8(std::span<const float> queries, size_t num_queries,
-                     std::span<const int8_t> rows8,
-                     std::span<const float> scales, std::span<float> out);
-
 // Σ a_d b_d c_d — the trilinear product ⟨a,b,c⟩ of Eq. (3).
 KGE_HOT_NOALLOC
 double TrilinearDot(std::span<const float> a, std::span<const float> b,

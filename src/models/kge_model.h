@@ -93,19 +93,34 @@ class KgeModel {
   // never a numeric one; kFloat32 accumulates in float over the master
   // table and kInt8 reads a quantized scoring replica (see
   // core/scoring_replica.h and math/simd.h's precision-tier contract).
-  // The base implementation loops ScoreAll per query and supports kDouble
-  // only (KGE_CHECK-fails otherwise — callers gate on
-  // SupportsScorePrecision); the trilinear family folds all B contexts
-  // into one scratch matrix and runs a single cache-blocked multi-query
-  // kernel (simd::DotBatchMulti and its tier twins), which loads each
-  // entity row once per batch instead of once per query. Non-double
-  // tiers require a PrepareForScoring(precision) call before concurrent
-  // use. Must be thread-safe for concurrent calls (used by the batched
-  // parallel evaluator, the serving batcher and the 1-vs-All trainer).
+  // A model that folds gets its B queries folded into one scratch matrix
+  // and one multi-query kernel dispatch over the whole table (ScoreRows,
+  // models/range_scan.h); any other model loops ScoreAll at kDouble
+  // (KGE_CHECK-fails otherwise — callers gate on SupportsScorePrecision).
+  // Non-double tiers require PrepareForScoring first. Thread-safe.
   KGE_HOT_NOALLOC
-  virtual void ScoreAllBatch(QuerySide side, std::span<const EntityId> anchors,
-                             RelationId relation, std::span<float> out,
-                             ScorePrecision precision) const;
+  void ScoreAllBatch(QuerySide side, std::span<const EntityId> anchors,
+                     RelationId relation, std::span<float> out,
+                     ScorePrecision precision) const;
+
+  // ---- Fold surface (DESIGN.md §5c) ----------------------------------------
+  // A model that scores a candidate as one dot product between a folded
+  // (anchor, relation) query and the candidate's row exposes both, and
+  // the batched scorer and range scans (models/range_scan.h) do the rest.
+
+  // The rows a fold is scored against at `precision`, or width 0 when
+  // the model cannot fold or lacks the tier. Thread-safe.
+  KGE_HOT_NOALLOC
+  virtual CandidateTable CandidateTableAt(ScorePrecision precision) const {
+    (void)precision;
+    return {};
+  }
+
+  // Writes the `side` query's fold (CandidateTableAt(...).width floats)
+  // into `fold`. Called only on models with a table. Thread-safe.
+  KGE_HOT_NOALLOC
+  virtual void FoldQuery(QuerySide side, EntityId anchor, RelationId relation,
+                         std::span<float> fold) const;
 
   // True when the model can score full-vocabulary batches at
   // `precision`. Every model supports kDouble; only models with scoring
@@ -124,81 +139,19 @@ class KgeModel {
   }
 
   // PrepareForScoring plus a rebuild of the per-tile score bounds the
-  // pruned range scans read (ScoringReplica::EnsureBoundsFresh). Models
-  // without tile bounds just forward to PrepareForScoring — their
-  // exhaustive range-scan fallbacks need no bounds. Same threading
-  // contract as PrepareForScoring: one thread, no concurrent scoring.
+  // pruned range scans read (CandidateTable::tile_bounds); models without
+  // bounds never skip a tile. Same threading contract.
   virtual void PrepareForPrunedScoring(ScorePrecision precision) const {
     PrepareForScoring(precision);
   }
 
-  // ---- Range-scoped ranking scans (sharded / pruned path, §5h) -------------
-  //
-  // These scans restrict ranking to the candidate range [begin, end) of
-  // the entity table. Scores are the exact float values ScoreAllBatch
-  // produces at `precision` (the per-cell numerics contract of
-  // math/simd.h), so restricting the range is pure scheduling: counts
-  // summed over any shard partition of [0, num_entities) equal the
-  // single-range counts bit-for-bit, and a top-k heap fed per shard then
-  // merged returns exactly the single-pass result. When `prune` is set,
-  // models with precomputed tile bounds (the trilinear family, via
-  // ScoringReplica) skip tiles whose Cauchy–Schwarz upper bound proves
-  // every score in them is below the current threshold — exact, never
-  // approximate. The base implementations are exhaustive (score the full
-  // vocabulary into thread-local scratch, then walk the range) and report
-  // the range as one unskipped tile. All must be thread-safe for
-  // concurrent calls; non-double tiers require PrepareForScoring first.
-
-  // Counts candidates in [begin, end) on `side` of (anchor, relation)
-  // with score strictly above (*better) resp. equal to (*equal)
-  // `threshold`, skipping ids in `excluded` (sorted ascending) and
-  // `also_skip` (pass kNoSkipEntity for none; an also_skip id that also
-  // appears in `excluded` is skipped once). Adds to *better/*equal and to
-  // `stats`.
-  KGE_HOT_NOALLOC
-  virtual void CountAbove(QuerySide side, EntityId anchor, RelationId relation,
-                          float threshold, EntityId begin, EntityId end,
-                          std::span<const EntityId> excluded,
-                          EntityId also_skip, ScorePrecision precision,
-                          bool prune, uint64_t* better, uint64_t* equal,
-                          RankScanStats* stats) const;
-
-  // Sentinel for CountAbove's also_skip.
-  static constexpr EntityId kNoSkipEntity = EntityId(-1);
-
-  // The float score of `triple` exactly as the `side` query's batched
-  // kernels produce it at `precision` — the rank threshold of the pruned
-  // evaluator. (float(Score(triple)) is NOT the same value for reduced
-  // tiers, and can differ in the last bit even at kDouble for models
-  // whose ScoreAll path reassociates.)
-  KGE_HOT_NOALLOC
-  virtual float ScoreOne(QuerySide side, const Triple& triple,
-                         ScorePrecision precision) const;
-
-  // Offers every candidate in [begin, end) on `side` of (anchor,
-  // relation) that is not in `excluded` (sorted ascending) to `heap`.
-  // With `prune`, tiles whose bound cannot beat the heap's current
-  // minimum (or its prune floor) are skipped — only on a strictly-less
-  // comparison (an equal-score candidate can still win its way in via
-  // the smaller-id tie-break, so equality never skips).
-  KGE_HOT_NOALLOC
-  virtual void TopKInRange(QuerySide side, EntityId anchor,
-                           RelationId relation, EntityId begin, EntityId end,
-                           std::span<const EntityId> excluded,
-                           ScorePrecision precision, bool prune,
-                           TopKHeap<float, EntityId>* heap,
-                           RankScanStats* stats) const;
-
-  // TopKInRange(QuerySide::kTail, …) under the name the benchmark
-  // harness (kgebench/layers.cc) calls.
+  // TopKInRange(*this, QuerySide::kTail, …) under the name the
+  // benchmark harness (kgebench/layers.cc) calls.
   void TopKTailsInRange(EntityId head, RelationId relation, EntityId begin,
                         EntityId end, std::span<const EntityId> excluded,
                         ScorePrecision precision, bool prune,
                         TopKHeap<float, EntityId>* heap,
-                        RankScanStats* stats) const {
-    TopKInRange(QuerySide::kTail, head, relation, begin, end, excluded,
-                precision, prune, heap, stats);
-  }
+                        RankScanStats* stats) const;
 
   // Scores each candidate in `candidates` on `side` of (anchor,
   // relation): out[i] = float(Score(TripleOf(side, anchor, candidates[i],

@@ -14,14 +14,18 @@ ReciprocalWrapper::ReciprocalWrapper(KgeModel* base,
   KGE_CHECK(base_->num_relations() == 2 * original_relations);
 }
 
+RelationId ReciprocalWrapper::BaseRelation(QuerySide side,
+                                           RelationId relation) const {
+  if (side == QuerySide::kTail) return relation;
+  KGE_CHECK(relation >= 0 && relation < original_relations_);
+  return AugmentedRelationOf(relation, original_relations_);
+}
+
 void ReciprocalWrapper::ScoreAll(QuerySide side, EntityId anchor,
                                  RelationId relation,
                                  std::span<float> out) const {
-  if (side == QuerySide::kHead) {
-    KGE_CHECK(relation >= 0 && relation < original_relations_);
-    relation = AugmentedRelationOf(relation, original_relations_);
-  }
-  base_->ScoreAll(QuerySide::kTail, anchor, relation, out);
+  base_->ScoreAll(QuerySide::kTail, anchor, BaseRelation(side, relation),
+                  out);
 }
 
 }  // namespace kge

@@ -33,10 +33,26 @@ class ReciprocalWrapper : public KgeModel {
     return base_->Score(triple);
   }
   // Tail queries delegate; a head query becomes the reciprocal tail
-  // query (anchor, ?, r_inverse).
+  // query (anchor, ?, r_inverse). Folds map the same way, so the range
+  // scans reach the base table and its tile bounds (kDouble only).
   KGE_HOT_NOALLOC
   void ScoreAll(QuerySide side, EntityId anchor, RelationId relation,
                 std::span<float> out) const override;
+  KGE_HOT_NOALLOC
+  CandidateTable CandidateTableAt(ScorePrecision precision) const override {
+    return precision == ScorePrecision::kDouble
+               ? base_->CandidateTableAt(precision)
+               : CandidateTable{};
+  }
+  KGE_HOT_NOALLOC
+  void FoldQuery(QuerySide side, EntityId anchor, RelationId relation,
+                 std::span<float> fold) const override {
+    base_->FoldQuery(QuerySide::kTail, anchor, BaseRelation(side, relation),
+                     fold);
+  }
+  void PrepareForPrunedScoring(ScorePrecision precision) const override {
+    base_->PrepareForPrunedScoring(precision);
+  }
   // Batched candidate scoring delegates unchanged, like Score: the
   // trainer only issues queries over the augmented relation set.
   KGE_HOT_NOALLOC
@@ -61,6 +77,10 @@ class ReciprocalWrapper : public KgeModel {
   }
 
  private:
+  // r for a tail query, r_inverse for a head query.
+  KGE_HOT_NOALLOC
+  RelationId BaseRelation(QuerySide side, RelationId relation) const;
+
   KgeModel* base_;
   int32_t original_relations_;
   std::string name_;

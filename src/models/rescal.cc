@@ -44,14 +44,29 @@ double Rescal::Score(const Triple& triple) const {
 void Rescal::ScoreAll(QuerySide side, EntityId anchor, RelationId relation,
                       std::span<float> out) const {
   KGE_CHECK(out.size() == size_t(entities_.num_ids()));
+  // Fold the anchor through W_r once (one D² pass), then one batched
+  // v · e over all candidates.
+  static thread_local std::vector<float> v_buf;
+  const std::span<float> v = ScratchSpan(v_buf, size_t(dim()));
+  FoldQuery(side, anchor, relation, v);
+  DotBatch(v, entities_.block().Flat(), out);
+}
+
+CandidateTable Rescal::CandidateTableAt(ScorePrecision precision) const {
+  CandidateTable table;
+  if (precision == ScorePrecision::kDouble) {
+    table.width = size_t(dim());
+    table.rows = entities_.block().Flat();
+  }
+  return table;
+}
+
+void Rescal::FoldQuery(QuerySide side, EntityId anchor, RelationId relation,
+                       std::span<float> v) const {
   const auto a = entities_.Of(anchor);
   const auto w = MatrixOf(relation);
   const int32_t d = dim();
-  // Fold the anchor through W_r once (one D² pass) — v = hᵀ W_r for a
-  // tail query, v = W_r t for a head query — then one batched v · e over
-  // all candidates.
-  static thread_local std::vector<float> v_buf;
-  const std::span<float> v = ScratchSpan(v_buf, size_t(d));
+  KGE_DCHECK(v.size() == size_t(d));
   if (side == QuerySide::kTail) {
     Fill(v, 0.0f);
     for (int32_t i = 0; i < d; ++i) {
@@ -66,7 +81,6 @@ void Rescal::ScoreAll(QuerySide side, EntityId anchor, RelationId relation,
           std::span<const float>(w_row, size_t(d)), a));
     }
   }
-  DotBatch(v, entities_.block().Flat(), out);
 }
 
 std::vector<ParameterBlock*> Rescal::Blocks() {

@@ -36,6 +36,15 @@ class Rescal : public KgeModel {
   KGE_HOT_NOALLOC
   void ScoreAll(QuerySide side, EntityId anchor, RelationId relation,
                 std::span<float> out) const override;
+  // The fold surface at kDouble (RESCAL keeps no scoring replica, so it
+  // has no reduced tiers and no tile bounds): the anchor folded through
+  // W_r — v = hᵀ W_r for a tail query, v = W_r t for a head query —
+  // against the entity rows.
+  KGE_HOT_NOALLOC
+  CandidateTable CandidateTableAt(ScorePrecision precision) const override;
+  KGE_HOT_NOALLOC
+  void FoldQuery(QuerySide side, EntityId anchor, RelationId relation,
+                 std::span<float> fold) const override;
 
   std::vector<ParameterBlock*> Blocks() override;
   KGE_HOT_NOALLOC

@@ -34,8 +34,8 @@ class MultiEmbeddingModel : public KgeModel {
 
   double Score(const Triple& triple) const override;
   // Every scoring path folds the fixed (h, r) / (t, r) context once
-  // (FoldForTail / FoldForHead — the only thing that differs between the
-  // two query sides) and takes dot products of the fold with entity rows.
+  // (FoldQuery — the only thing that differs between the two query
+  // sides) and takes dot products of the fold with entity rows.
   KGE_HOT_NOALLOC
   void ScoreAll(QuerySide side, EntityId anchor, RelationId relation,
                 std::span<float> out) const override;
@@ -48,43 +48,18 @@ class MultiEmbeddingModel : public KgeModel {
   void ScoreBatch(QuerySide side, EntityId anchor, RelationId relation,
                   std::span<const EntityId> candidates,
                   std::span<float> out) const override;
-  // Batched full-vocabulary scoring: fold all B contexts into one
-  // per-thread B × width scratch matrix, then a single cache-blocked
-  // multi-query product against the entity table dispatched per tier —
-  // DotBatchMulti (kDouble), DotBatchMultiF32 (float accumulation over
-  // the same entity table), or DotBatchMultiI8 against the entity
-  // block's quantized ScoringReplica. The folds themselves always
-  // evaluate in float, so tiers differ only in the candidate product.
-  // At kDouble row q equals ScoreAll(side, anchors[q]) bit-for-bit.
+  // The fold surface: the fold of a `side` query (FoldForTail /
+  // FoldForHead, always evaluated in float) and the entity table it is
+  // scored against — the master rows at kDouble and kFloat32, the
+  // quantized ScoringReplica at kInt8, with the replica's tile bounds
+  // once PrepareForPrunedScoring has built them.
   KGE_HOT_NOALLOC
-  void ScoreAllBatch(QuerySide side, std::span<const EntityId> anchors,
-                     RelationId relation, std::span<float> out,
-                     ScorePrecision precision) const override;
-
-  // Range-scoped pruned scans (DESIGN.md §5h): fold the fixed context
-  // once, then walk only the entity-table tiles overlapping
-  // [begin, end); with `prune`, a tile whose Cauchy–Schwarz bound
-  // (‖fold‖₂ · tile max row norm · simd::kPruneBoundSlack) cannot reach
-  // the threshold / current heap minimum is skipped without streaming a
-  // byte of it. Per-cell kernel contract ⇒ surviving scores are
-  // bit-identical to the exhaustive batched path, so pruning and
-  // sharding never change a metric or a top-k result.
+  CandidateTable CandidateTableAt(ScorePrecision precision) const override {
+    return entity_replica_.Table(precision);
+  }
   KGE_HOT_NOALLOC
-  void CountAbove(QuerySide side, EntityId anchor, RelationId relation,
-                  float threshold, EntityId begin, EntityId end,
-                  std::span<const EntityId> excluded, EntityId also_skip,
-                  ScorePrecision precision, bool prune, uint64_t* better,
-                  uint64_t* equal, RankScanStats* stats) const override;
-  KGE_HOT_NOALLOC
-  float ScoreOne(QuerySide side, const Triple& triple,
-                 ScorePrecision precision) const override;
-  KGE_HOT_NOALLOC
-  void TopKInRange(QuerySide side, EntityId anchor, RelationId relation,
-                   EntityId begin, EntityId end,
-                   std::span<const EntityId> excluded,
-                   ScorePrecision precision, bool prune,
-                   TopKHeap<float, EntityId>* heap,
-                   RankScanStats* stats) const override;
+  void FoldQuery(QuerySide side, EntityId anchor, RelationId relation,
+                 std::span<float> fold) const override;
 
   // The trilinear family supports every tier.
   bool SupportsScorePrecision(ScorePrecision precision) const override {
@@ -126,8 +101,8 @@ class MultiEmbeddingModel : public KgeModel {
   void SetWeights(const WeightTable& weights) { weights_ = weights; }
 
  private:
-  // Folds the (anchor, relation) context of a `side` query into
-  // per-thread scratch: score(candidate) = Dot(fold, candidate row).
+  // FoldQuery into per-thread scratch: score(candidate) = Dot(fold,
+  // candidate row).
   KGE_HOT_NOALLOC
   std::span<const float> Fold(QuerySide side, EntityId anchor,
                               RelationId relation) const;

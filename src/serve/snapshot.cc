@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "models/checkpoint.h"
 #include "util/failpoint.h"
 #include "util/io.h"
 #include "util/logging.h"
@@ -15,14 +14,49 @@
 
 namespace kge {
 
+namespace {
+
+// Paths of the ckpt_<epoch>.kge2 files under `dir`, newest epoch first;
+// empty when the directory cannot be read.
+std::vector<std::string> CheckpointsNewestFirst(const std::string& dir) {
+  std::vector<int> epochs;
+  DIR* handle = ::opendir(dir.c_str());
+  if (handle == nullptr) return {};
+  while (struct dirent* entry = ::readdir(handle)) {
+    const std::string name = entry->d_name;
+    if (name.rfind("ckpt_", 0) != 0) continue;
+    const size_t suffix = name.find(".kge2");
+    if (suffix == std::string::npos || suffix + 5 != name.size()) continue;
+    const std::string digits = name.substr(5, suffix - 5);
+    if (digits.empty() ||
+        digits.find_first_not_of("0123456789") != std::string::npos) {
+      continue;
+    }
+    epochs.push_back(std::atoi(digits.c_str()));
+  }
+  ::closedir(handle);
+  std::sort(epochs.begin(), epochs.end(), std::greater<int>());
+  std::vector<std::string> paths;
+  paths.reserve(epochs.size());
+  for (const int epoch : epochs) {
+    paths.push_back(dir + "/ckpt_" + std::to_string(epoch) + ".kge2");
+  }
+  return paths;
+}
+
+}  // namespace
+
 Result<std::shared_ptr<ModelSnapshot>> LoadServingSnapshot(
     const std::string& path, const ModelFactory& factory,
-    const std::vector<ScorePrecision>& prepare_tiers, bool prepare_bounds) {
+    const std::vector<ScorePrecision>& prepare_tiers, bool prepare_bounds,
+    bool* corrupt) {
+  if (corrupt != nullptr) *corrupt = true;
   Result<std::unique_ptr<MappedCheckpoint>> mapping =
       MappedCheckpoint::Open(path);
   if (!mapping.ok()) return mapping.status();
   // The one CRC pass of this load, before any model is built.
   KGE_RETURN_IF_ERROR((*mapping)->Verify());
+  if (corrupt != nullptr) *corrupt = false;
   Result<std::unique_ptr<KgeModel>> model = factory();
   if (!model.ok()) return model.status();
   KGE_RETURN_IF_ERROR((*mapping)->LoadInto(model->get()));
@@ -76,14 +110,14 @@ std::string CheckpointWatcher::ResolveLatestTarget() const {
   return options_.dir + "/" + trimmed;
 }
 
-Status CheckpointWatcher::TryAdopt(const std::string& path) {
+Status CheckpointWatcher::TryAdopt(const std::string& path, bool* corrupt) {
   // LoadServingSnapshot CRC-checks the mapped bytes before it builds a
   // model, so a torn file is rejected cheaply — and because the check
   // runs on the very bytes that get served, a file that changes on disk
   // mid-load cannot be served either.
   Result<std::shared_ptr<ModelSnapshot>> snapshot =
       LoadServingSnapshot(path, factory_, options_.prepare_tiers,
-                          options_.prepare_bounds);
+                          options_.prepare_bounds, corrupt);
   if (!snapshot.ok()) return snapshot.status();
   KGE_RETURN_IF_ERROR(KGE_FAILPOINT("serve.swap.publish"));
   registry_->Publish(std::move(*snapshot));
@@ -114,9 +148,12 @@ Status CheckpointWatcher::LoadInitial() {
                      << "); falling back to newest valid checkpoint";
     QuarantineFile(target);
   }
-  Result<std::string> fallback = FindNewestValidCheckpoint(options_.dir);
-  if (!fallback.ok()) return fallback.status();
-  return TryAdopt(*fallback);
+  for (const std::string& path : CheckpointsNewestFirst(options_.dir)) {
+    bool corrupt = false;
+    const Status adopted = TryAdopt(path, &corrupt);
+    if (!corrupt) return adopted;
+  }
+  return Status::NotFound("no CRC-valid checkpoint in " + options_.dir);
 }
 
 Status CheckpointWatcher::AdoptPath(const std::string& path) {
@@ -184,32 +221,6 @@ CheckpointWatcher::StatsView CheckpointWatcher::stats() const {
   view.quarantines = quarantines_.load(std::memory_order_relaxed);
   view.failed_loads = failed_loads_.load(std::memory_order_relaxed);
   return view;
-}
-
-Result<std::string> FindNewestValidCheckpoint(const std::string& dir) {
-  DIR* handle = ::opendir(dir.c_str());
-  if (handle == nullptr) return Status::NotFound("cannot open " + dir);
-  std::vector<int> epochs;
-  while (struct dirent* entry = ::readdir(handle)) {
-    const std::string name = entry->d_name;
-    if (name.rfind("ckpt_", 0) != 0) continue;
-    const size_t suffix = name.find(".kge2");
-    if (suffix == std::string::npos || suffix + 5 != name.size()) continue;
-    const std::string digits = name.substr(5, suffix - 5);
-    if (digits.empty() ||
-        digits.find_first_not_of("0123456789") != std::string::npos) {
-      continue;
-    }
-    epochs.push_back(std::atoi(digits.c_str()));
-  }
-  ::closedir(handle);
-  std::sort(epochs.begin(), epochs.end(), std::greater<int>());
-  for (int epoch : epochs) {
-    const std::string path =
-        dir + "/ckpt_" + std::to_string(epoch) + ".kge2";
-    if (VerifyCheckpoint(path).ok()) return path;
-  }
-  return Status::NotFound("no CRC-valid checkpoint in " + dir);
 }
 
 }  // namespace kge

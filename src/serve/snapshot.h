@@ -51,12 +51,15 @@ struct ModelSnapshot {
 // `prepare_bounds` the per-tile score bounds of the pruned ranking
 // scans are rebuilt too (PrepareForPrunedScoring) — required before a
 // batcher with prune enabled scores the snapshot, since bounds cannot
-// be rebuilt safely once concurrent workers read the model.
+// be rebuilt safely once concurrent workers read the model. When
+// `corrupt` is non-null it is set to whether the load failed on the
+// file itself — unmappable, truncated or failing its CRC check — before
+// any model was built.
 using ModelFactory = std::function<Result<std::unique_ptr<KgeModel>>()>;
 Result<std::shared_ptr<ModelSnapshot>> LoadServingSnapshot(
     const std::string& path, const ModelFactory& factory,
     const std::vector<ScorePrecision>& prepare_tiers,
-    bool prepare_bounds = false);
+    bool prepare_bounds = false, bool* corrupt = nullptr);
 
 class SnapshotRegistry {
  public:
@@ -100,10 +103,12 @@ class CheckpointWatcher {
   CheckpointWatcher& operator=(const CheckpointWatcher&) = delete;
 
   // Startup load: adopt the LATEST target if it verifies; otherwise
-  // quarantine it and fall back to the newest ckpt_*.kge2 that passes
-  // VerifyCheckpoint. NotFound when the directory has no usable
-  // checkpoint. This is how a restart after a crash resumes from the
-  // last CRC-valid checkpoint even when LATEST was the casualty.
+  // quarantine it and fall back to adopting ckpt_<epoch>.kge2 files
+  // newest-first, skipping each that fails its CRC check (one CRC pass
+  // per candidate) and returning the first other outcome. NotFound when
+  // the directory has no CRC-valid checkpoint. This is how a restart
+  // after a crash resumes from the last CRC-valid checkpoint even when
+  // LATEST was the casualty.
   Status LoadInitial();
 
   // Adopts one explicit checkpoint file (no LATEST indirection) — the
@@ -131,7 +136,8 @@ class CheckpointWatcher {
  private:
   // Resolves the LATEST pointer to a full path; empty when missing.
   std::string ResolveLatestTarget() const;
-  Status TryAdopt(const std::string& path);
+  // Loads and publishes `path`; *corrupt as for LoadServingSnapshot.
+  Status TryAdopt(const std::string& path, bool* corrupt = nullptr);
   // Renames `path` out of the checkpoint rotation; true on success.
   bool QuarantineFile(const std::string& path);
 
@@ -153,10 +159,6 @@ class CheckpointWatcher {
   CondVar cv_;
   std::thread thread_;
 };
-
-// Newest ckpt_<epoch>.kge2 under `dir` that passes VerifyCheckpoint.
-// NotFound when nothing qualifies.
-Result<std::string> FindNewestValidCheckpoint(const std::string& dir);
 
 }  // namespace kge
 

@@ -77,7 +77,7 @@ def run_checker(paths, tmpdir, tag):
 def main():
     cxx = compiler()
     fixtures = sorted(os.listdir(FIXTURES))
-    check(len(fixtures) == 11, "all 11 fixtures present")
+    check(len(fixtures) == 12, "all 12 fixtures present")
 
     if cxx is None:
         print("  [skip] no C++ compiler found; skipping syntax checks")
@@ -182,6 +182,14 @@ def main():
               "pruned scan root was recognized")
         check("fixture::PrepareTileBounds" not in rep["roots"],
               "allocating bound preparer stays outside the hot set")
+
+        print("visitor_scan: alloc in a lambda handed to a template walk")
+        rc, rep = run_checker([fx("visitor_scan.cc")], tmpdir, "visitor")
+        check(rc == 1, "exit code 1")
+        check(len(rep["findings"]) == 1, "exactly one finding")
+        check(rep["findings"][0]["kind"] == "alloc" and
+              rep["findings"][0]["function"] == "fixture::HotVisitorScan",
+              "reported in the root that owns the lambda")
 
         print("multi-file: helper alloc found across TU boundary")
         rc, rep = run_checker([fx("indirect_alloc.cc"), fx("clean.cc")],

@@ -22,6 +22,7 @@
 #include "eval/evaluator.h"
 #include "eval/topk.h"
 #include "kg/filter_index.h"
+#include "models/range_scan.h"
 #include "models/trilinear_models.h"
 #include "util/random.h"
 
@@ -82,8 +83,8 @@ void ShardedTopK(const MultiEmbeddingModel& model, EntityId head,
         int64_t(excluded.size());
     const EntityId prime_end =
         EntityId(std::min<int64_t>(int64_t(n), prime_span));
-    model.TopKInRange(QuerySide::kTail, head, relation, 0, prime_end, excluded, precision,
-                           /*prune=*/false, &shard_heap, stats);
+    TopKInRange(model, QuerySide::kTail, head, relation, 0, prime_end,
+                excluded, precision, /*prune=*/false, &shard_heap, stats);
     if (shard_heap.full()) {
       floor = shard_heap.WorstScore();
       have_floor = true;
@@ -96,9 +97,9 @@ void ShardedTopK(const MultiEmbeddingModel& model, EntityId head,
       shard_heap.ResetCapacity(k);
       if (have_floor) shard_heap.SetPruneFloor(floor);
     }
-    model.TopKInRange(QuerySide::kTail, head, relation, ShardBegin(n, shards, s),
-                           ShardBegin(n, shards, s + 1), excluded, precision,
-                           prune, heap, stats);
+    TopKInRange(model, QuerySide::kTail, head, relation,
+                ShardBegin(n, shards, s), ShardBegin(n, shards, s + 1),
+                excluded, precision, prune, heap, stats);
     if (shards != 1) merged->MergeFrom(shard_heap);
   }
 }
@@ -129,8 +130,8 @@ TEST(PrunedTopKProperty, AllModelsPrecisionsAndShardCountsMatchExhaustive) {
         const EntityId head = EntityId(rng.NextBounded(kEntities));
         const RelationId relation = RelationId(rng.NextBounded(kRelations));
         exhaustive.ResetCapacity(kTopK);
-        model.TopKInRange(QuerySide::kTail, head, relation, 0, kEntities, {}, precision,
-                               /*prune=*/false, &exhaustive, &skip_stats);
+        TopKInRange(model, QuerySide::kTail, head, relation, 0, kEntities, {},
+                    precision, /*prune=*/false, &exhaustive, &skip_stats);
         const auto expect = exhaustive.TakeSorted();
         for (const int shards : kShardCounts) {
           for (const bool prune : {false, true}) {
@@ -210,9 +211,8 @@ TEST(PrunedTopKProperty, FewerSurvivorsThanKStaysExact) {
   Heap heap(kTopK);
   RankScanStats stats;
   exhaustive.ResetCapacity(kTopK);
-  model->TopKInRange(QuerySide::kTail, 5, 2, 0, kEntities, excluded,
-                          ScorePrecision::kDouble, false, &exhaustive,
-                          &stats);
+  TopKInRange(*model, QuerySide::kTail, 5, 2, 0, kEntities, excluded,
+              ScorePrecision::kDouble, false, &exhaustive, &stats);
   const auto expect = exhaustive.TakeSorted();
   ASSERT_EQ(expect.size(), 3u);
   for (const int shards : kShardCounts) {

@@ -7,9 +7,9 @@
 // a linear count of strictly-better / equal candidates for ranks. For
 // the trilinear family (DistMult, CP, ComplEx, quaternion) it folds the
 // query context and applies the simd::ref kernels that DEFINE each
-// precision tier; for the other models (TransE, RotatE, and the
-// ReciprocalWrapper over CP) it takes the model's own full-vocabulary
-// row. Paths checked, on both query sides:
+// precision tier; for the other models (TransE, RotatE, RESCAL, and the
+// ReciprocalWrapper over CP, plain and norm-skewed) it takes the model's
+// own full-vocabulary row. Paths checked, on both query sides:
 //   * Evaluator::Evaluate — matrix-batched path (B in {1, 5, auto}) and
 //     the range-scan path (shards in {1, 3} x prune on/off);
 //   * PredictTails / PredictHeads — sharded x pruned, with and without
@@ -35,6 +35,7 @@
 #include "math/simd.h"
 #include "models/quaternion_model.h"
 #include "models/reciprocal_wrapper.h"
+#include "models/rescal.h"
 #include "models/rotate.h"
 #include "models/transe.h"
 #include "models/trilinear_models.h"
@@ -71,6 +72,8 @@ struct Subject {
   // parameters with simd::ref instead of asking the model.
   const MultiEmbeddingModel* trilinear = nullptr;
   std::vector<ScorePrecision> tiers;
+  // The pruned runs must skip at least one tile (norm-skewed tables).
+  bool expect_skips = false;
 
   const KgeModel& model() const { return *snapshot->model; }
 };
@@ -92,6 +95,7 @@ Subject Trilinear(std::string name, std::unique_ptr<MultiEmbeddingModel> m) {
   Subject s;
   s.name = std::move(name);
   s.trilinear = m.get();
+  s.expect_skips = true;
   s.tiers.assign(std::begin(kAllTiers), std::end(kAllTiers));
   s.snapshot = std::make_shared<ModelSnapshot>();
   s.snapshot->model = std::move(m);
@@ -125,6 +129,19 @@ std::vector<Subject> MakeSubjects() {
                                                base.get(), kRelations));
   wrapped.base = std::move(base);
   subjects.push_back(std::move(wrapped));
+  subjects.push_back(
+      Other("RESCAL", MakeRescal(kEntities, kRelations, 8, 18)));
+  // The wrapper's range scans reach the base table's tile bounds, so a
+  // skewed base must prune through it.
+  std::unique_ptr<MultiEmbeddingModel> skewed =
+      MakeCp(kEntities, 2 * kRelations, 8, 19);
+  SkewEntityNorms(skewed.get());
+  Subject skewed_wrapped =
+      Other("CP+reciprocal skewed",
+            std::make_unique<ReciprocalWrapper>(skewed.get(), kRelations));
+  skewed_wrapped.base = std::move(skewed);
+  skewed_wrapped.expect_skips = true;
+  subjects.push_back(std::move(skewed_wrapped));
   // Bounds and replicas for every tier up front, single-threaded: the
   // batcher never prepares a snapshot it serves.
   for (const Subject& s : subjects) {
@@ -374,7 +391,7 @@ TEST_F(RankingOracleTest, EvaluateMatchesOracleOnEveryPath) {
       }
     }
     // The pruned branches must actually run, or this proves nothing.
-    if (s.trilinear != nullptr) {
+    if (s.expect_skips) {
       EXPECT_GT(tiles_skipped, 0u) << s.name;
     }
   }
@@ -530,7 +547,7 @@ TEST_F(RankingOracleTest, MicroBatcherMatchesOracleOnBothReductions) {
         }
       }
     }
-    if (s.trilinear != nullptr) {
+    if (s.expect_skips) {
       EXPECT_GT(tiles_skipped, 0u) << s.name;
     }
   }

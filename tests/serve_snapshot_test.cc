@@ -296,7 +296,7 @@ TEST(CheckpointWatcherTest, LoadInitialFailsCleanlyOnEmptyDir) {
   EXPECT_EQ(registry.current_version(), 0u);
 }
 
-TEST(FindNewestValidCheckpointTest, SkipsCorruptNewest) {
+TEST(CheckpointWatcherTest, LoadInitialSkipsCorruptNewest) {
   const std::string dir = TempDirFor("newest_valid");
   SaveCheckpointWithSeed(dir + "/ckpt_3.kge2", 3);
   SaveCheckpointWithSeed(dir + "/ckpt_10.kge2", 10);
@@ -307,9 +307,11 @@ TEST(FindNewestValidCheckpointTest, SkipsCorruptNewest) {
     mutated[4] = char(mutated[4] ^ 0xFF);
     ASSERT_TRUE(WriteStringToFile(dir + "/ckpt_10.kge2", mutated).ok());
   }
-  Result<std::string> newest = FindNewestValidCheckpoint(dir);
-  ASSERT_TRUE(newest.ok());
-  EXPECT_EQ(*newest, dir + "/ckpt_3.kge2");
+  SnapshotRegistry registry;
+  CheckpointWatcher watcher(&registry, FactoryWithSeed(0),
+                            {dir, 10, {ScorePrecision::kDouble}});
+  ASSERT_TRUE(watcher.LoadInitial().ok());
+  EXPECT_EQ(registry.Acquire()->source_path, dir + "/ckpt_3.kge2");
 }
 
 }  // namespace

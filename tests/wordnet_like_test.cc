@@ -173,6 +173,22 @@ TEST(WordNetLikeRrModeTest, RrModeIsSmallerThanFullGraph) {
   EXPECT_GT(rr.train.size(), full.train.size() / 3);
 }
 
+TEST(WordNetLikeVocabularySizesTest, MatchesGeneratedDataset) {
+  for (const int32_t n : {kWordNetMinEntities, 650}) {
+    WordNetLikeOptions options;
+    options.num_entities = n;
+    const Dataset data = GenerateWordNetLike(options);
+    const Result<VocabularySizes> sizes = WordNetLikeVocabularySizes(n);
+    ASSERT_TRUE(sizes.ok()) << n;
+    EXPECT_EQ(sizes->num_entities, data.num_entities()) << n;
+    EXPECT_EQ(sizes->num_relations, data.num_relations()) << n;
+  }
+}
+
+TEST(WordNetLikeVocabularySizesTest, RejectsWhatTheGeneratorRejects) {
+  EXPECT_FALSE(WordNetLikeVocabularySizes(kWordNetMinEntities - 1).ok());
+}
+
 TEST(WordNetLikeDeterminismTest, InverseLeakageAcrossSplitExists) {
   // The WN18 property the paper's results depend on: most test triples of
   // inverse-paired relations have their inverse triple in train.

@@ -60,8 +60,8 @@ int Run(int argc, char** argv) {
   FlagParser parser("kge_serve: serve top-k link prediction over TCP");
   parser.AddString("model", &model_name, "model name used at training time");
   parser.AddString("data-dir", &data_dir,
-                   "dataset directory; empty = regenerate synthetic (only "
-                   "the vocabulary sizes are used)");
+                   "dataset directory; empty = the synthetic generator's "
+                   "vocabulary sizes (only the sizes are used)");
   parser.AddString("generate", &generate, "wordnet | freebase");
   parser.AddString("checkpoint", &checkpoint,
                    "serve this checkpoint file (no LATEST indirection)");
@@ -146,35 +146,36 @@ int Run(int argc, char** argv) {
     return 2;
   }
 
-  // Vocabulary sizes come from the dataset, exactly as at training
-  // time, so the factory builds block shapes the checkpoint must match.
-  int32_t num_entities = 0;
-  int32_t num_relations = 0;
-  {
+  // Vocabulary sizes match the training run's dataset, so the factory
+  // builds block shapes the checkpoint must match. The WordNet-like
+  // generator's sizes follow from --entities alone, without generating.
+  VocabularySizes vocab;
+  if (data_dir.empty() && generate == "wordnet") {
+    const Result<VocabularySizes> sizes =
+        WordNetLikeVocabularySizes(int32_t(entities));
+    if (!sizes.ok()) {
+      std::fprintf(stderr, "%s\n", sizes.status().ToString().c_str());
+      return 2;
+    }
+    vocab = *sizes;
+  } else {
     Dataset data;
     if (!data_dir.empty()) {
       Result<Dataset> loaded = LoadDatasetFromDirectory(
           data_dir, TripleFileFormat::kHeadRelationTail);
       KGE_CHECK_OK(loaded.status());
       data = std::move(*loaded);
-    } else if (generate == "wordnet") {
-      WordNetLikeOptions options;
-      options.num_entities = int32_t(entities);
-      options.seed = uint64_t(seed);
-      data = GenerateWordNetLike(options);
     } else {
       FreebaseLikeOptions options;
       options.num_entities = int32_t(entities);
       options.seed = uint64_t(seed);
       data = GenerateFreebaseLike(options);
     }
-    num_entities = data.num_entities();
-    num_relations = data.num_relations();
+    vocab = {data.num_entities(), data.num_relations()};
   }
 
-  ModelFactory factory = [model_name, num_entities, num_relations,
-                          dim_budget, seed] {
-    return MakeModelByName(model_name, num_entities, num_relations,
+  ModelFactory factory = [model_name, vocab, dim_budget, seed] {
+    return MakeModelByName(model_name, vocab.num_entities, vocab.num_relations,
                            int32_t(dim_budget), uint64_t(seed));
   };
 
